@@ -98,6 +98,14 @@ def runs_of_buffer(buffer) -> tuple[tuple[int, int], ...]:
     )
 
 
+def _shifted_xor(raw: bytes, width: int) -> bytes:
+    """``raw[width:]`` XOR ``raw[:-width]``, byte by byte, as ``bytes``."""
+    diff = int.from_bytes(raw[width:], "little") ^ int.from_bytes(
+        raw[:-width], "little"
+    )
+    return diff.to_bytes(len(raw) - width, "little")
+
+
 #: Delimiter-probe window: segment statistics are estimated on a prefix so
 #: the probe stays O(1) in the document length.
 _SEGMENT_PROBE_CHARS = 65536
@@ -128,12 +136,17 @@ class EncodedDocument:
     where a document is expected.
 
     Beside the buffer, the run-length view used by the run-length kernels
-    (:meth:`runs`, :meth:`mean_run_length`, :meth:`segment_delimiter`) is
-    memoized lazily *on this object*: it shares the buffer's lifetime and
-    its cache slot on the owning :class:`~repro.core.documents.Document`,
-    so evicting the encoding necessarily evicts the RLE view with it — the
-    two can never describe different classing signatures.  Pickling drops
-    the memo the same way the document-level encoding cache is dropped.
+    (:meth:`runs`, :meth:`segment_delimiter`) is memoized lazily *on this
+    object*: it shares the buffer's lifetime and its cache slot on the
+    owning :class:`~repro.core.documents.Document`, so evicting the
+    encoding necessarily evicts the RLE view with it — the two can never
+    describe different classing signatures.  Pickling drops the memo the
+    same way the document-level encoding cache is dropped.
+
+    The ``kernel="auto"`` decision needs only :meth:`mean_run_length`,
+    which :meth:`run_count` answers with one C-level pass over the buffer
+    and no per-run Python objects; the ``(class_id, length)`` tuple of
+    :meth:`runs` is built only when a run-length kernel actually runs.
     """
 
     __slots__ = ("text", "buffer", "length", "signature", "_runs", "_delimiter")
@@ -165,10 +178,29 @@ class EncodedDocument:
             self._runs = runs
         return runs
 
+    def run_count(self) -> int:
+        """The number of maximal runs, counted without materializing them.
+
+        Equals ``len(self.runs())``.  XOR-ing the buffer with itself shifted
+        by one element leaves a zero element exactly where a run continues,
+        so ``length - zeros`` is the run count; the XOR, the conversions and
+        the count are each a single C-level pass.
+        """
+        if self._runs is not None:
+            return len(self._runs)
+        n = self.length
+        if n < 2:
+            return n
+        buffer = self.buffer
+        if isinstance(buffer, bytes):
+            return n - _shifted_xor(buffer, 1).count(0)
+        diff = _shifted_xor(buffer.tobytes(), buffer.itemsize)
+        return n - array("I", diff).count(0)
+
     def mean_run_length(self) -> float:
         """Average run length — the planner's repetitiveness statistic."""
-        runs = self.runs()
-        return self.length / len(runs) if runs else 0.0
+        runs = self.run_count()
+        return self.length / runs if runs else 0.0
 
     def segment_delimiter(self) -> int | None:
         """The class id the count kernel should segment this buffer on.

@@ -920,7 +920,9 @@ def prefers_runlength(encoded) -> bool:
 
     Run-length kernels win when runs are long enough to amortize the
     per-run dispatch; on near-unit mean run lengths the scalar sprint
-    is faster and auto stays with it.
+    is faster and auto stays with it.  The decision costs one C-level
+    pass over the buffer (:meth:`EncodedDocument.run_count`); the run
+    tuple itself is left for the run-length kernel to build.
     """
     return (
         encoded.length >= RUNLENGTH_MIN_CHARS
@@ -939,6 +941,10 @@ def resolve_kernel(kernel: str, encoded) -> str:
     return kernel
 
 
+# The ``*_with_kernel`` dispatchers encode the document once and hand the
+# :class:`EncodedDocument` down, so the engine they pick reuses that pass.
+
+
 def count_with_kernel(
     compiled: CompiledEVA,
     document: object,
@@ -948,12 +954,8 @@ def count_with_kernel(
     fast_path: bool = True,
 ) -> int:
     """:func:`count_compiled` or :func:`count_runlength` by plan axis."""
-    if kernel == "scalar":
-        return count_compiled(
-            compiled, document, scratch=scratch, fast_path=fast_path
-        )
-    resolved = resolve_kernel(kernel, compiled.encode(document))
-    if resolved == "runlength":
+    document = compiled.encode(document)
+    if resolve_kernel(kernel, document) == "runlength":
         return count_runlength(compiled, document)
     return count_compiled(
         compiled, document, scratch=scratch, fast_path=fast_path
@@ -969,12 +971,8 @@ def evaluate_arena_with_kernel(
     fast_path: bool = True,
 ) -> CompiledResultDag:
     """The arena engine under the plan's kernel axis (bit-identical)."""
-    if kernel == "scalar":
-        return evaluate_compiled_arena(
-            compiled, document, scratch=scratch, fast_path=fast_path
-        )
-    resolved = resolve_kernel(kernel, compiled.encode(document))
-    if resolved == "runlength":
+    document = compiled.encode(document)
+    if resolve_kernel(kernel, document) == "runlength":
         return evaluate_runlength_arena(
             compiled, document, scratch=scratch, fast_path=fast_path
         )
@@ -991,9 +989,7 @@ def count_subset_with_kernel(
     fast_path: bool = True,
 ) -> int:
     """:func:`count_subset` under the plan's kernel axis."""
-    if kernel == "scalar":
-        return count_subset(subset_eva, document, fast_path=fast_path)
-    resolved = resolve_kernel(kernel, subset_eva.encode(document))
-    if resolved == "runlength":
+    document = subset_eva.encode(document)
+    if resolve_kernel(kernel, document) == "runlength":
         return count_subset_runlength(subset_eva, document)
     return count_subset(subset_eva, document, fast_path=fast_path)

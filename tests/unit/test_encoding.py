@@ -9,15 +9,17 @@ scratch-reuse plumbing of the engines that consume the encoded buffers.
 from __future__ import annotations
 
 import pickle
+from array import array
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.documents import Document, DocumentCollection
 from repro.core.errors import EvaluationError
 from repro.counting.census import CensusInstance
 from repro.runtime import encoding
 from repro.runtime.compiled import NO_TARGET, compile_eva
-from repro.runtime.encoding import EncodedDocument, SymbolClassing
+from repro.runtime.encoding import EncodedDocument, SymbolClassing, runs_of_buffer
 from repro.runtime.engine import (
     EvaluationScratch,
     count_compiled,
@@ -193,6 +195,35 @@ class TestDocumentCache:
         list(spanner.enumerate(document))
         assert encoding.encoding_passes() == 1
 
+    @pytest.mark.parametrize(
+        "pattern", [".*x{a+b}.*", "(a|b)*x{a+b}(a|b)*"], ids=["alphabet", "literal"]
+    )
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda spanner, text: spanner.extract(text),
+            lambda spanner, text: spanner.count(text),
+            lambda spanner, text: spanner.evaluate(text),
+            lambda spanner, text: spanner.count(text, engine="compiled-otf"),
+        ],
+        ids=["extract", "count", "evaluate", "count-otf"],
+    )
+    @pytest.mark.parametrize(
+        "text",
+        ["abaab" * 20, "aab" * 500, "a" * 2000 + "b"],
+        ids=["short", "choppy", "runny"],
+    )
+    def test_plain_string_is_encoded_once_per_call(self, pattern, operation, text):
+        # A str carries no encoding cache, so a second pass anywhere
+        # between the facade and the engine would show up here (Document
+        # inputs hide it behind their per-signature cache).
+        spanner = Spanner.from_regex(pattern)
+        assert spanner._pipeline.source_needs_alphabet() == pattern.startswith(".")
+        operation(spanner, text)  # compile outside the counted region
+        encoding.reset_encoding_passes()
+        operation(spanner, text)
+        assert encoding.encoding_passes() == 1
+
     def test_collection_encode_all(self):
         shared = Document("abab")
         collection = DocumentCollection([shared, shared.text, "bbbb"])
@@ -257,6 +288,53 @@ class TestRunLengthView:
         clone = pickle.loads(pickle.dumps(encoded))
         assert clone._runs is None
         assert clone.runs() == runs
+
+
+#: A classing with more ids than a byte holds, so it encodes to array('I').
+WIDE_SYMBOLS = tuple(chr(0x100 + index) for index in range(300))
+WIDE = SymbolClassing(WIDE_SYMBOLS, range(len(WIDE_SYMBOLS)))
+NARROW = SymbolClassing(("a", "b", "c"), (0, 1, 1))
+
+
+def _assert_run_count_exact(encoded):
+    assert encoded.run_count() == len(runs_of_buffer(encoded.buffer))
+    # Counting must not build (and so must not memoize) the run tuple.
+    assert encoded._runs is None
+
+
+class TestRunCount:
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(alphabet="abcz", max_size=64))
+    @example(text="")
+    @example(text="a")
+    @example(text="aaaaaaaa")
+    def test_bytes_buffer(self, text):
+        encoded = NARROW.encode(text)
+        assert isinstance(encoded.buffer, bytes)
+        _assert_run_count_exact(encoded)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(alphabet=WIDE_SYMBOLS[:3] + WIDE_SYMBOLS[-2:] + ("a", "☃"), max_size=64))
+    @example(text="")
+    @example(text=WIDE_SYMBOLS[-1])
+    @example(text=WIDE_SYMBOLS[-1] * 9)
+    def test_array_buffer(self, text):
+        encoded = WIDE.encode(text)
+        assert isinstance(encoded.buffer, array)
+        _assert_run_count_exact(encoded)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.lists(st.sampled_from([0, 1, 256, 65536, 2**32 - 1]), max_size=48))
+    def test_array_buffer_full_word_ids(self, ids):
+        # Ids differing only in a high byte of the word are still different.
+        encoded = EncodedDocument("?" * len(ids), array("I", ids), ())
+        _assert_run_count_exact(encoded)
+
+    def test_memoized_runs_answer_directly(self):
+        encoded = NARROW.encode("aabbbca")
+        runs = encoded.runs()
+        assert encoded.run_count() == len(runs) == 3
+        assert encoded.mean_run_length() == 7 / 3
 
 
 class TestScratchReuse:

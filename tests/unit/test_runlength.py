@@ -9,6 +9,7 @@ from repro.runtime.plan import KERNEL_CHOICES
 from repro.runtime.runlength import (
     KERNELS,
     RUNLENGTH_MIN_CHARS,
+    RUNLENGTH_MIN_MEAN_RUN,
     count_runlength,
     count_subset_runlength,
     count_subset_with_kernel,
@@ -25,6 +26,7 @@ from repro.runtime.runlength import (
     _mul_rows,
     _vec_rows,
 )
+from repro.runtime.encoding import runs_of_buffer
 from repro.runtime.engine import count_compiled, evaluate_compiled_arena
 from repro.runtime.sharding import count_sharded, shard_summary
 from repro.spanners.spanner import Spanner
@@ -306,6 +308,51 @@ class TestDispatch:
                 resolve_kernel("bogus", short)
         finally:
             spanner.close()
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a" * (RUNLENGTH_MIN_CHARS - 1), False),
+            ("a" * RUNLENGTH_MIN_CHARS, True),
+            # 172 runs over 1032 chars: mean exactly 6.0 ...
+            ("aaaaaabbbbbb" * 86, True),
+            # ... and one more run: mean just under 6.0.
+            (("aaaaaabbbbbb" * 86)[:-1] + "a", False),
+        ],
+        ids=["short-by-one", "min-length", "mean-at-threshold", "mean-below"],
+    )
+    def test_prefers_runlength_threshold_edges(self, runtime, text, expected):
+        encoded = runtime.encode(text)
+        runs = runs_of_buffer(encoded.buffer)
+        # The decision the tuple-building heuristic made before run_count.
+        assert expected == (
+            encoded.length >= RUNLENGTH_MIN_CHARS
+            and encoded.length / len(runs) >= RUNLENGTH_MIN_MEAN_RUN
+        )
+        assert prefers_runlength(encoded) is expected
+        assert resolve_kernel("auto", encoded) == (
+            "runlength" if expected else "scalar"
+        )
+
+    def test_auto_picking_scalar_builds_no_runs(self, runtime):
+        for text in ("ab" * 8, "ab" * RUNLENGTH_MIN_CHARS):
+            encoded = runtime.encode(text)
+            assert resolve_kernel("auto", encoded) == "scalar"
+            assert encoded._runs is None
+            count_with_kernel(runtime, encoded)
+            evaluate_arena_with_kernel(runtime, encoded)
+            assert encoded._runs is None
+
+    def test_auto_picking_runlength_memoizes_runs(self, runtime):
+        encoded = runtime.encode("a" * 64 * RUNLENGTH_MIN_CHARS + "b")
+        assert resolve_kernel("auto", encoded) == "runlength"
+        assert encoded._runs is None
+        count_with_kernel(runtime, encoded)
+        runs = encoded._runs
+        assert runs == runs_of_buffer(encoded.buffer)
+        evaluate_arena_with_kernel(runtime, encoded)
+        assert encoded.runs() is runs
+        assert encoded.run_count() == len(runs)
 
     def test_dispatchers_agree_across_kernels(self, runtime):
         expected = count_compiled(runtime, DOCUMENT)
