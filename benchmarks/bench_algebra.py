@@ -125,14 +125,11 @@ def bench_optimizer_workload(*, num_documents: int, length: int, repeat: int) ->
     expression = built.expression
     collection = built.collection
 
-    # Probe the plan over the batch's union alphabet (a document holding
-    # exactly those characters), which is the key run_batch resolves
-    # against; fail fast if the cost model ever stops cutting this
-    # expression — the "hybrid" lane below would otherwise silently time
-    # a fused plan and the gate failure would mislead.
-    hybrid_plan = Spanner.from_expression(expression).plan(
-        "".join(sorted(collection.alphabet()))
-    )
+    # Probe the plan run_batch resolves; fail fast if the cost model ever
+    # stops cutting this expression — the "hybrid" lane below would
+    # otherwise silently time a fused plan and the gate failure would
+    # mislead.
+    hybrid_plan = Spanner.from_expression(expression).plan()
     if hybrid_plan.engine != "hybrid":
         raise AssertionError(
             f"join-heavy is expected to produce a hybrid plan, got "

@@ -22,9 +22,42 @@ from repro.core.mappings import Mapping
 from repro.core.spans import Span
 from repro.automata.markers import Marker, MarkerSet
 
-__all__ = ["ExtendedVA", "EVARun"]
+__all__ = ["ExtendedVA", "EVARun", "OtherLetter"]
 
 State = Hashable
+
+#: The first OTHER candidate: U+FDD0 opens Unicode's noncharacter block.
+_FIRST_OTHER_CANDIDATE = 0xFDD0
+
+
+@dataclass(frozen=True)
+class OtherLetter:
+    """The OTHER letter of an automaton compiled from wildcards.
+
+    ``symbol`` is one character outside the source's literals and stands
+    for its complement class: every character outside ``letters`` (the
+    literals plus ``symbol``).  Only wildcards and negated classes accept
+    it, so reading any such character as ``symbol`` — ``symbol`` itself
+    included — gives it exactly the transitions of a wildcard expansion
+    over the whole document.
+    """
+
+    symbol: str
+    letters: frozenset[str]
+
+    @classmethod
+    def outside(cls, literals: Iterable[str]) -> "OtherLetter":
+        """The OTHER letter for a source mentioning exactly *literals*."""
+        letters = frozenset(literals)
+        point = _FIRST_OTHER_CANDIDATE
+        while chr(point) in letters:
+            point += 1
+        return cls(chr(point), letters | {chr(point)})
+
+    def read(self, text: str) -> str:
+        """*text* with every character outside :attr:`letters` read as OTHER."""
+        letters, symbol = self.letters, self.symbol
+        return "".join(char if char in letters else symbol for char in text)
 
 
 @dataclass(frozen=True)
@@ -75,6 +108,9 @@ class ExtendedVA:
         # the accessors don't allocate a fresh frozenset each time.
         self._letter_targets_cache: dict[tuple[State, str], frozenset[State]] = {}
         self._variable_targets_cache: dict[tuple[State, MarkerSet], frozenset[State]] = {}
+        #: The OTHER letter the spanner pipeline compiled the automaton
+        #: with, if any; every engine reads documents through :meth:`read`.
+        self.other: OtherLetter | None = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -156,6 +192,10 @@ class ExtendedVA:
         for per_state in self._letter.values():
             found.update(per_state)
         return frozenset(found)
+
+    def letters(self) -> frozenset[str]:
+        """The characters read as themselves: the alphabet plus OTHER's letters."""
+        return self.alphabet() | (self.other.letters if self.other else frozenset())
 
     def letter_targets(self, state: State, symbol: str) -> frozenset[State]:
         """Targets of letter transitions from *state* on *symbol* (memoized)."""
@@ -282,6 +322,11 @@ class ExtendedVA:
     # Reference semantics
     # ------------------------------------------------------------------ #
 
+    def read(self, document: object) -> str:
+        """The text of *document*, characters outside ``other.letters`` read as OTHER."""
+        text = as_text(document)
+        return text if self.other is None else self.other.read(text)
+
     def runs(self, document: object) -> Iterator[EVARun]:
         """Enumerate the valid accepting runs of the automaton over *document*.
 
@@ -290,7 +335,7 @@ class ExtendedVA:
         a variable transition may be skipped (``S = ∅`` keeps the state),
         and a run is valid when markers are used consistently.
         """
-        text = as_text(document)
+        text = self.read(document)
         if self._initial is None:
             return
         n = len(text)
@@ -356,6 +401,7 @@ class ExtendedVA:
                 duplicate.add_variable_transition(source, label, target)
             else:
                 duplicate.add_letter_transition(source, label, target)
+        duplicate.other = self.other
         return duplicate
 
     def rename_states(self, naming: dict[State, State] | None = None) -> "ExtendedVA":
@@ -375,6 +421,7 @@ class ExtendedVA:
                 renamed.add_variable_transition(naming[source], label, naming[target])
             else:
                 renamed.add_letter_transition(naming[source], label, naming[target])
+        renamed.other = self.other
         return renamed
 
     def to_dot(self, name: str = "eva") -> str:

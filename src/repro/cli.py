@@ -32,13 +32,13 @@ Seven subcommands expose the library's main operations on files (or stdin):
     document in ``--chunk-size`` slices from a file or line-by-line from a
     pipe, and — in the default ``--emit incremental`` mode — print each
     mapping the moment it becomes settled instead of waiting for EOF.
-    Because the document is not known up front, wildcards expand over
-    ``--alphabet`` (printable ASCII plus whitespace by default).
+    The output equals ``extract`` on the same text: the pattern compiles
+    once and its wildcards match any character.
 
 ``serve``
     The long-lived multi-tenant extraction service
     (:mod:`repro.server`): an asyncio HTTP front-end where every
-    connection opens a (pattern, alphabet, emit-mode) session, feeds
+    connection opens a (pattern, emit-mode) session, feeds
     document chunks as NDJSON events and receives mappings back
     incrementally, with a shared plan cache, admission control and a
     ``/metrics`` endpoint.
@@ -65,12 +65,6 @@ from repro.runtime.plan import ENGINE_CHOICES, KERNEL_CHOICES
 from repro.spanners.spanner import Spanner
 
 __all__ = ["build_parser", "main"]
-
-#: The default declared alphabet of ``repro stream``: printable ASCII plus
-#: the usual whitespace — what a log pipe realistically carries.  Wildcard
-#: patterns expand over this set because the streamed document's own
-#: characters are not known up front.
-DEFAULT_STREAM_ALPHABET = "".join(chr(point) for point in range(32, 127)) + "\t\n\r"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--document",
         default=None,
-        help="path of a document whose alphabet the plan is built for "
-        "(omit for the empty alphabet)",
+        help="path of a document (accepted for compatibility: a spanner "
+        "compiles once, so the plan is the same for every document)",
     )
     explain.add_argument(
         "--unchecked",
@@ -273,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--alphabet",
         default=None,
-        help="every character the stream may contain (wildcards expand over "
-        "this set; default: printable ASCII plus whitespace)",
+        help="accepted for compatibility and ignored: the pattern compiles "
+        "once and its wildcards match any character",
     )
     stream.add_argument(
         "--format",
@@ -305,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--plan-cache-size",
         type=int,
         default=32,
-        help="bound of the shared (pattern, alphabet) -> compiled-plan cache",
+        help="bound of the shared pattern -> compiled-plan cache",
     )
     serve.add_argument(
         "--max-session-bytes",
@@ -330,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--alphabet",
         default=None,
-        help="default declared alphabet for sessions that omit one "
-        "(default: printable ASCII plus whitespace)",
+        help="accepted for compatibility and ignored: every pattern "
+        "compiles once and its wildcards match any character",
     )
     serve.add_argument(
         "--warm",
@@ -427,10 +421,9 @@ def _run_explain(args: argparse.Namespace, out) -> int:
     if args.project is not None:
         keep = [variable.strip() for variable in args.project.split(",") if variable.strip()]
         expression = expression.project(keep)
-    document = _read_document(args.document, stdin=()) if args.document else ""
     spanner = Spanner.from_expression(expression, unchecked=args.unchecked)
     try:
-        print(spanner.explain(document, engine=args.engine), file=out)
+        print(spanner.explain(engine=args.engine), file=out)
     except CompilationError as error:
         print(f"repro explain: error: {error}", file=sys.stderr)
         return 2
@@ -610,12 +603,11 @@ def _run_stream(args: argparse.Namespace, out, stdin: Iterable[str] | None) -> i
         )
         return 2
     spanner = Spanner.from_regex(args.pattern)
-    alphabet = args.alphabet if args.alphabet is not None else DEFAULT_STREAM_ALPHABET
     emit = "on_finish" if args.emit == "on-finish" else "incremental"
     # Settled mappings are printed straight from feed(), so the evaluator
     # need not keep them around for finish() — memory stays at the
     # in-flight state on an unbounded tail.
-    evaluator = spanner.stream(alphabet=alphabet, emit=emit, retain_settled=False)
+    evaluator = spanner.stream(emit=emit, retain_settled=False)
 
     # The streamed text is retained only when the output format needs it
     # to slice captured substrings; 'spans' runs with no retention at all.
@@ -669,9 +661,6 @@ def _run_serve(args: argparse.Namespace, out) -> int:
             max_session_bytes=args.max_session_bytes,
             max_session_arena_cells=args.max_session_arena_cells,
             idle_timeout=args.idle_timeout,
-            default_alphabet=(
-                args.alphabet if args.alphabet is not None else DEFAULT_STREAM_ALPHABET
-            ),
         )
     except ValueError as error:
         print(f"repro serve: error: {error}", file=sys.stderr)

@@ -236,8 +236,8 @@ class DocumentCollection:
 
     The batch engine (:mod:`repro.runtime.batch`) consumes collections:
     every document carries a stable ``doc_id`` so that streamed results can
-    be attributed, and :meth:`alphabet` gives the union alphabet needed to
-    compile a wildcard pattern once for the whole batch.
+    be attributed, and :meth:`alphabet` gives the union of the documents'
+    characters.
 
     >>> collection = DocumentCollection.from_texts(["abc", "abd"])
     >>> len(collection)
@@ -246,7 +246,7 @@ class DocumentCollection:
     ['doc-0', 'doc-1']
     """
 
-    __slots__ = ("_documents", "_name", "_alphabet")
+    __slots__ = ("_documents", "_name")
 
     def __init__(
         self,
@@ -255,7 +255,6 @@ class DocumentCollection:
     ) -> None:
         self._documents: dict[object, Document] = {}
         self._name = name
-        self._alphabet: frozenset[str] | None = None
         if isinstance(documents, dict):
             for doc_id, document in documents.items():
                 self.add(document, doc_id=doc_id)
@@ -327,7 +326,6 @@ class DocumentCollection:
         if doc_id in self._documents:
             raise ValueError(f"duplicate document id {doc_id!r} in collection")
         self._documents[doc_id] = document
-        self._alphabet = None
         return doc_id
 
     # ------------------------------------------------------------------ #
@@ -363,19 +361,11 @@ class DocumentCollection:
             raise KeyError(f"no document with id {doc_id!r} in collection") from None
 
     def alphabet(self) -> frozenset[str]:
-        """The union of the documents' alphabets (memoized until mutation).
-
-        Batch evaluation derives its compilation key — and therefore the
-        alphabet-classing signature every document is encoded under — from
-        this set, so it is computed once per collection state, not once per
-        ``run_batch`` call.
-        """
-        if self._alphabet is None:
-            found: set[str] = set()
-            for document in self._documents.values():
-                found.update(document.text)
-            self._alphabet = frozenset(found)
-        return self._alphabet
+        """The union of the documents' alphabets."""
+        found: set[str] = set()
+        for document in self._documents.values():
+            found.update(document.text)
+        return frozenset(found)
 
     def encode_all(self, classing) -> int:
         """Pre-encode every document under *classing*, returning the count

@@ -103,6 +103,6 @@ class StreamingError(EvaluationError):
     Covers protocol misuse (feeding a finished stream, a ``str`` chunk
     while a partial UTF-8 sequence is pending), byte streams that end
     inside a multi-byte sequence, and — under ``emit="incremental"`` —
-    characters outside the declared alphabet arriving *after* mappings
-    have been delivered, which such a character would retract.
+    a character that a wildcard-free pattern does not mention arriving
+    *after* mappings have been delivered, which it would retract.
     """

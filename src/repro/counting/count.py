@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.core.documents import as_text
 from repro.core.errors import NotDeterministicError, NotSequentialError
 from repro.automata.eva import ExtendedVA
 
@@ -51,7 +50,7 @@ def count_mappings(
     if check_sequentiality and not automaton.is_sequential():
         raise NotSequentialError("Algorithm 3 requires a sequential extended VA")
 
-    text = as_text(document)
+    text = automaton.read(document)
 
     variable_transitions: dict[State, list[tuple[object, State]]] = {}
     letter_transitions: dict[State, dict[str, State]] = {}

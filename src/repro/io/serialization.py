@@ -28,7 +28,7 @@ from typing import Mapping as TypingMapping
 
 from repro.core.errors import ReproError
 from repro.core.mappings import Mapping
-from repro.automata.eva import ExtendedVA
+from repro.automata.eva import ExtendedVA, OtherLetter
 from repro.automata.markers import Marker, MarkerSet
 from repro.automata.va import VariableSetAutomaton
 
@@ -130,7 +130,7 @@ def eva_to_dict(automaton: ExtendedVA) -> dict:
             )
         else:
             letter.append([_check_state(source), label, _check_state(target)])
-    return {
+    payload = {
         "kind": "eva",
         "states": sorted((_check_state(s) for s in automaton.states), key=repr),
         "initial": _check_state(automaton.initial),
@@ -138,6 +138,9 @@ def eva_to_dict(automaton: ExtendedVA) -> dict:
         "letter_transitions": letter,
         "variable_transitions": variable,
     }
+    if automaton.other is not None:
+        payload["other"] = [automaton.other.symbol, sorted(automaton.other.letters)]
+    return payload
 
 
 def eva_from_dict(payload: TypingMapping) -> ExtendedVA:
@@ -155,6 +158,9 @@ def eva_from_dict(payload: TypingMapping) -> ExtendedVA:
     for source, markers, target in payload.get("variable_transitions", []):
         marker_set = MarkerSet(_marker_from_json(marker) for marker in markers)
         automaton.add_variable_transition(source, marker_set, target)
+    if "other" in payload:
+        symbol, letters = payload["other"]
+        automaton.other = OtherLetter(symbol, frozenset(letters))
     return automaton
 
 

@@ -89,10 +89,11 @@ class RegexNode:
         return sum(1 for _ in self.walk())
 
     def needs_alphabet(self) -> bool:
-        """Whether compiling the formula requires an explicit alphabet.
+        """Whether the formula reads characters it does not mention.
 
         True when the formula contains a wildcard or a negated character
-        class, whose expansion depends on the alphabet.
+        class: their expansion depends on the alphabet, and the spanner
+        pipeline compiles them over the literals plus the OTHER letter.
         """
         return any(
             isinstance(node, AnyChar) or (isinstance(node, CharClass) and node.negated)

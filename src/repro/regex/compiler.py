@@ -7,9 +7,15 @@ the glue of unions and stars are eliminated at the end, so the result is a
 plain :class:`~repro.automata.va.VariableSetAutomaton` (the paper's model,
 which has no ε-transitions).
 
-Wildcards and negated character classes expand over an explicit alphabet,
-which must therefore be supplied (or be derivable from the formula's
-literals) — see :func:`compile_to_va`.
+Wildcards and negated character classes expand over an explicit alphabet —
+see :func:`compile_to_va`.  The spanner pipeline passes the formula's
+literals plus one extra letter, OTHER
+(:class:`~repro.automata.eva.OtherLetter`), which stands for every
+character the formula does not mention.  A formula therefore compiles
+once, whatever documents it later reads: this is the one-letter
+case of symbolic automata (D'Antoni & Veanes, "The Power of Symbolic
+Automata and Transducers", CAV 2017), and since OTHER is an ordinary
+letter the paper's finite-alphabet constructions apply unchanged.
 """
 
 from __future__ import annotations
@@ -35,20 +41,9 @@ from repro.regex.ast import (
 )
 from repro.regex.parser import parse_regex
 
-__all__ = ["compile_to_va", "required_alphabet"]
+__all__ = ["compile_to_va"]
 
 _EPSILON = None
-
-
-def required_alphabet(pattern: str | RegexNode, document_alphabet: Iterable[str] = ()) -> frozenset[str]:
-    """The alphabet a compiled automaton needs to evaluate *pattern*.
-
-    This is the union of the formula's literal characters and the
-    characters of the documents it will be evaluated on (needed so that
-    wildcards and negated classes can match them).
-    """
-    node = parse_regex(pattern)
-    return frozenset(node.literals()) | frozenset(document_alphabet)
 
 
 class _Compiler:

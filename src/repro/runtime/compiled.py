@@ -189,7 +189,8 @@ class CompiledEVA:
         # quiescent-run fast path, and the lazily built sprint patterns.
         columns = tuple(zip(*letter_table)) if letter_table and symbols else ()
         class_of, representatives = classify_columns(columns)
-        self.classing = SymbolClassing(symbols, class_of)
+        other = source.other
+        self.classing = SymbolClassing(symbols, class_of, other.symbol if other else None)
         if representatives:
             self.class_table = tuple(
                 row + (NO_TARGET,) for row in zip(*representatives)
@@ -351,7 +352,10 @@ def compile_eva(automaton: ExtendedVA, *, check_determinism: bool = True) -> Com
 
     The automaton must be deterministic (the dense letter rows hold a
     single target per symbol).  Sequentiality is not checked here — the
-    same caveat as for the reference engine applies.
+    same caveat as for the reference engine applies.  When the automaton
+    has an OTHER letter, every one of its letters is interned (even one no
+    transition reads, such as the ``,`` of ``[^,]``) and unmentioned
+    characters read as the OTHER symbol.
     """
     if not automaton.has_initial:
         raise CompilationError("cannot compile an automaton without an initial state")
@@ -362,7 +366,7 @@ def compile_eva(automaton: ExtendedVA, *, check_determinism: bool = True) -> Com
 
     state_objects = _ordered_states(automaton)
     state_index = {state: index for index, state in enumerate(state_objects)}
-    symbols = tuple(sorted(automaton.alphabet()))
+    symbols = tuple(sorted(automaton.letters()))
     symbol_index = {symbol: index for index, symbol in enumerate(symbols)}
 
     letter_rows: list[tuple[int, ...]] = []

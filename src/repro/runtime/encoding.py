@@ -12,10 +12,11 @@ plan, every benchmark repeat).  This module replaces it with:
   alphabet symbol to the id of its *behavioural class*: two symbols whose
   columns in the dense letter table are identical (every ``[a-z]``-style
   wildcard edge) share one class, so the per-state rows consumed by the
-  engines shrink from ``|Σ|`` to the (often far smaller) class count.  One
-  extra *foreign* class, whose column is all ``NO_TARGET``, absorbs every
-  character outside the compiled alphabet — the engines need no
-  out-of-alphabet branch at all.
+  engines shrink from ``|Σ|`` to the (often far smaller) class count.  A
+  character outside the compiled alphabet reads as the class of the
+  automaton's OTHER letter (:class:`~repro.automata.eva.OtherLetter`) or,
+  without one, as an extra all-``NO_TARGET`` *foreign* class — the
+  engines need no out-of-alphabet branch at all.
 
 * **One C-level encoding pass per document** — :meth:`SymbolClassing.encode`
   translates the whole document in bulk (``bytes.translate`` for latin-1
@@ -25,7 +26,7 @@ plan, every benchmark repeat).  This module replaces it with:
 
 * **A per-document cache** — the resulting :class:`EncodedDocument` is
   cached on the :class:`~repro.core.documents.Document` keyed by the
-  classing's *signature* (the ``(symbols, classes)`` pair), so two compiled
+  classing's *signature* (symbols, classes, OTHER's class), so two compiled
   automata with the same behavioural classing — or one automaton invoked
   through ``enumerate``/``count``/``extract``/``run_batch`` — share a
   single encoding pass.  The module-level :func:`encoding_passes` counter
@@ -262,9 +263,11 @@ class SymbolClassing:
 
     Built once at compile time from the interned symbol order and the
     per-symbol class ids (symbols whose letter-table columns coincide share
-    a class).  Two classings compare (and hash) equal iff their signatures
-    do, so encodings cached on documents are shared across independently
-    compiled automata with the same behaviour.
+    a class).  *other* names the OTHER symbol, if the automaton has one:
+    every character outside *symbols* then reads as its class instead of
+    the foreign class.  Two classings compare (and hash) equal iff their
+    signatures do, so encodings cached on documents are shared across
+    independently compiled automata with the same behaviour.
     """
 
     __slots__ = (
@@ -272,16 +275,18 @@ class SymbolClassing:
         "class_of",
         "num_classes",
         "foreign_class",
+        "other_class",
         "num_ids",
         "signature",
         "_hash",
         "_byte_table",
+        "_replace_errors",
         "_str_table",
         "_cleanup",
-        "_foreign_char",
+        "_other_char",
     )
 
-    def __init__(self, symbols: tuple[str, ...], class_of) -> None:
+    def __init__(self, symbols: tuple[str, ...], class_of, other: str | None = None) -> None:
         self.symbols = tuple(symbols)
         self.class_of = tuple(class_of)
         if len(self.symbols) != len(self.class_of):
@@ -290,19 +295,23 @@ class SymbolClassing:
         #: The one extra class whose letter column is all ``NO_TARGET``.
         self.foreign_class = self.num_classes
         self.num_ids = self.num_classes + 1
-        self.signature = (self.symbols, self.class_of)
+        #: The class every character outside ``symbols`` reads as.
+        self.other_class = (
+            self.foreign_class if other is None else self.class_of[self.symbols.index(other)]
+        )
+        self.signature = (self.symbols, self.class_of, self.other_class)
         self._hash = hash(self.signature)
 
         # str.translate table: alphabet symbols map to their class id; the
         # low codepoints that could be confused with class ids map to the
-        # foreign class.  After translation every char with ord <= the
-        # foreign id IS a class id, and everything above is a foreign
+        # other class.  After translation every char with ord <= the
+        # foreign id IS a class id, and everything above is an unmentioned
         # character, fixed up by one C-level regex substitution.
         table = {ord(symbol): cls for symbol, cls in zip(self.symbols, self.class_of)}
         for codepoint in range(self.num_ids):
-            table.setdefault(codepoint, self.foreign_class)
+            table.setdefault(codepoint, self.other_class)
         self._str_table = table
-        self._foreign_char = chr(self.foreign_class)
+        self._other_char = chr(self.other_class)
         self._cleanup = re.compile(
             "[^\\x00-" + re.escape(chr(self.foreign_class)) + "]"
         )
@@ -310,7 +319,7 @@ class SymbolClassing:
         # bytes.translate table for the fast path: latin-1 documents over a
         # <=256-id classing translate at memcpy speed.
         if self.num_ids <= 256:
-            byte_table = bytearray([self.foreign_class]) * 256
+            byte_table = bytearray([self.other_class]) * 256
             for symbol, cls in zip(self.symbols, self.class_of):
                 point = ord(symbol)
                 if point < 256:
@@ -318,6 +327,14 @@ class SymbolClassing:
             self._byte_table = bytes(byte_table)
         else:
             self._byte_table = None
+        # errors="replace" encodes every character above U+00FF as "?",
+        # which is right when "?" and those characters all read as other.
+        self._replace_errors = (
+            "replace"
+            if "?" not in self.symbols
+            and all(ord(symbol) < 256 or symbol == other for symbol in self.symbols)
+            else "strict"
+        )
 
     # ------------------------------------------------------------------ #
     # Equality by signature, so caches hit across compilations
@@ -348,10 +365,11 @@ class SymbolClassing:
 
         if self._byte_table is not None:
             # Fast path: latin-1 text over a byte-sized classing translates
-            # with two C passes (encode + translate); any symbol >= U+0100
-            # in the text falls back to the general route below.
+            # with two C passes (encode + translate); a character >= U+0100
+            # falls back to the general route below unless "?" may stand
+            # in for it (see __init__).
             try:
-                raw = text.encode("latin-1")
+                raw = text.encode("latin-1", self._replace_errors)
             except UnicodeEncodeError:
                 pass
             else:
@@ -360,7 +378,7 @@ class SymbolClassing:
                 )
 
         translated = text.translate(self._str_table)
-        cleaned = self._cleanup.sub(self._foreign_char, translated)
+        cleaned = self._cleanup.sub(self._other_char, translated)
         if self.num_ids <= 256:
             buffer: object = cleaned.encode("latin-1")
         else:

@@ -10,8 +10,9 @@ same lazy-list DAG construction as the reference engine in
   so the reading phase is two indexings per live state and character and
   repeated evaluations of one document skip the translation entirely,
 * symbols with identical letter-table columns share one equivalence class,
-  shrinking the dense rows; one extra all-dead *foreign* class absorbs
-  out-of-alphabet characters, so the inner loops have no foreign branch,
+  shrinking the dense rows; out-of-alphabet characters read as the OTHER
+  letter's class (wildcard patterns) or one extra all-dead *foreign*
+  class, so the inner loops have no foreign branch,
 * marker sets are referenced by id and only materialized into DAG nodes,
 * the per-document state arrays live in an :class:`EvaluationScratch` that
   batch callers reuse across documents, so steady-state evaluation
@@ -77,9 +78,8 @@ class EvaluationScratch:
     :func:`count_compiled` two per-state partial-run count rows.  A scratch
     is tied to the state count of the automaton it was created for; the
     batch engine keeps one per worker and the
-    :class:`~repro.spanners.Spanner` facade one per cached alphabet (a
-    scratch is single-threaded — share automata across threads, not
-    scratches).
+    :class:`~repro.spanners.Spanner` facade one per spanner (a scratch is
+    single-threaded — share automata across threads, not scratches).
     """
 
     __slots__ = (

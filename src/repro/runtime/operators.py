@@ -7,8 +7,8 @@ determinization) but instead be evaluated at runtime, the route of
 Propositions 4.5/4.6: evaluate the fused fragments independently and
 combine their mapping sets.  This module is that runtime:
 
-* :class:`FusedLeaf` — a fused subexpression, compiled once per alphabet
-  through the regular :class:`~repro.spanners.pipeline.CompilationPipeline`
+* :class:`FusedLeaf` — a fused subexpression, compiled once through the
+  regular :class:`~repro.spanners.pipeline.CompilationPipeline`
   and evaluated by the engine its own inner
   :class:`~repro.runtime.plan.ExecutionPlan` picks (``compiled`` or
   ``compiled-otf``); its output is a
@@ -169,8 +169,8 @@ class PhysicalOperator:
     """Base class of physical plan nodes.
 
     ``reason`` records the optimizer's justification for placing the node
-    (rendered by ``repro explain``).  A tree must be :meth:`prepare`-d for
-    an alphabet key before :meth:`execute` runs a document through it.
+    (rendered by ``repro explain``).  A tree must be :meth:`prepare`-d
+    before :meth:`execute` runs a document through it.
     """
 
     def __init__(self, reason: str = "") -> None:
@@ -180,7 +180,8 @@ class PhysicalOperator:
         return ()
 
     def prepare(self, alphabet: frozenset[str]) -> "PhysicalOperator":
-        """Compile every fused leaf for *alphabet* (idempotent per key)."""
+        """Compile every fused leaf over *alphabet* plus its own literals
+        (and OTHER, for leaves with wildcards); idempotent per *alphabet*."""
         for child in self.children():
             child.prepare(alphabet)
         return self
@@ -200,7 +201,7 @@ class PhysicalOperator:
 
 
 class FusedLeaf(PhysicalOperator):
-    """A fused subexpression, compiled once per alphabet and run as a unit.
+    """A fused subexpression, compiled once and run as a unit.
 
     The leaf owns a private :class:`CompilationPipeline` over its (already
     rewritten) expression fragment; :meth:`prepare` resolves the inner

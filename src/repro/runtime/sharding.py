@@ -694,7 +694,7 @@ class ShardPool:
     def mark_broken(self) -> None:
         """Tear the pool down after a crash; owners rebuild on next use.
 
-        The facade's per-alphabet pool cache checks ``closed`` before
+        The facade's cached pool is checked for ``closed`` before
         reuse, so closing here is exactly what makes the next
         ``workers > 1`` call start from a fresh pool.
         """

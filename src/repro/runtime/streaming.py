@@ -48,14 +48,15 @@ Two output modes:
     reachable from live runs, so the buffered arena stays bounded by the
     in-flight state instead of growing with the whole output (the
     ``tailing-logs`` property test pins ``peak_arena_cells`` strictly
-    below the whole-document arena).  One guard keeps early emission
-    exact: once a mapping has been delivered, a character outside the
-    compiled alphabet raises a :class:`StreamingError` — it would kill
-    even the settled sinks, retracting what was already handed out.
-    Before the first delivery the engines' kill-the-runs semantics apply
-    unchanged (the whole-document output is empty either way).  Streams
-    that may carry arbitrary bytes should declare a larger alphabet or
-    use ``emit="on_finish"``.
+    below the whole-document arena).  A wildcard pattern reads every
+    character it does not mention as its OTHER letter, so nothing can
+    kill a settled sink.  A wildcard-free pattern has no OTHER letter,
+    and one guard keeps its early emission exact: once a mapping has been
+    delivered, a character the pattern does not mention (which would kill
+    even the settled sinks) raises a :class:`StreamingError` instead of
+    retracting what was handed out.  Before the first delivery the
+    engines' kill-the-runs semantics apply unchanged (the whole-document
+    output is empty either way).
 
 The evaluator works on the dense tables of a
 :class:`~repro.runtime.compiled.CompiledEVA` (the planner's streaming
@@ -105,10 +106,11 @@ def settled_sinks(compiled: CompiledEVA) -> frozenset[int]:
 
     A state qualifies when it is final, has no extended variable
     transition (its list is never snapshotted into new DAG nodes) and
-    self-loops on every non-foreign class (no in-alphabet character can
-    move or kill the run).  Mappings parked in such a state are in the
-    output of every continuation of the stream over the compiled
-    alphabet — the exactness argument behind ``emit="incremental"``.
+    self-loops on every non-foreign class (no character outside the
+    foreign class — with an OTHER letter, no character at all — can move
+    or kill the run).  Mappings parked in such a state are in the output
+    of every such continuation of the stream — the exactness argument
+    behind ``emit="incremental"``.
     """
     sinks = []
     for state in range(compiled.num_states):
@@ -116,7 +118,7 @@ def settled_sinks(compiled: CompiledEVA) -> frozenset[int]:
             continue
         row = compiled.class_table[state]
         # The trailing column is the all-dead foreign class; a sink only
-        # needs to survive the declared alphabet.
+        # needs to survive the characters the classing can produce.
         if all(target == state for target in row[:-1]):
             sinks.append(state)
     return frozenset(sinks)
@@ -209,7 +211,9 @@ class StreamingEvaluator:
         self._decoder = codecs.getincrementaldecoder("utf-8")()
         self._decoder_pending = False
 
-        # Foreign-class probes for the incremental mode's alphabet guard.
+        # Foreign-class probes for the incremental mode's alphabet guard;
+        # with an OTHER letter no character encodes to the foreign class.
+        self._guarded = self._classing.other_class == self._classing.foreign_class
         foreign = self._classing.foreign_class
         self._foreign_byte = foreign if foreign <= 0xFF else None
         self._foreign_id = foreign
@@ -315,7 +319,7 @@ class StreamingEvaluator:
         if not text:
             return []
         encoded = self._classing.encode_fresh(text)
-        if self._settled_count:
+        if self._settled_count and self._guarded:
             self._guard_alphabet(encoded.buffer, len(text))
         if self._active:
             self._advance(encoded.buffer, encoded.length)
@@ -430,12 +434,13 @@ class StreamingEvaluator:
     def _guard_alphabet(self, buf, length: int) -> None:
         """Reject a foreign character once mappings have been delivered.
 
-        A foreign character kills every run — including the settled
-        sinks whose mappings were already handed to the caller, which
-        could never be retracted.  Until the first delivery the guard is
-        off: a foreign character then simply kills every run, exactly
-        the compiled engines' whole-document semantics (the total output
-        is empty either way).
+        Only wildcard-free patterns (no OTHER letter) get here.  A foreign
+        character kills every run — including the settled sinks whose
+        mappings were already handed to the caller, which could never be
+        retracted.  Until the first delivery the guard is off: a foreign
+        character then simply kills every run, exactly the compiled
+        engines' whole-document semantics (the total output is empty
+        either way).
         """
         if isinstance(buf, bytes):
             if self._foreign_byte is None:
@@ -449,10 +454,9 @@ class StreamingEvaluator:
                     break
         if position >= 0:
             self._fail(
-                "character outside the declared alphabet at position "
+                "character the pattern does not mention at position "
                 f"{self._offset + position}; incremental emission cannot "
-                "retract already-delivered mappings — declare a larger "
-                "alphabet or use emit='on_finish'"
+                "retract already-delivered mappings — use emit='on_finish'"
             )
 
     def _advance(self, buf, n: int) -> None:

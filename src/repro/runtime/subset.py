@@ -85,7 +85,7 @@ class CompiledSubsetEVA:
         ))
         self.base_state_objects: tuple = base_states
         base_index = {state: i for i, state in enumerate(base_states)}
-        self.symbols: tuple[str, ...] = tuple(sorted(automaton.alphabet()))
+        self.symbols: tuple[str, ...] = tuple(sorted(automaton.letters()))
         self.symbol_index = {symbol: i for i, symbol in enumerate(self.symbols)}
 
         marker_sets: list[MarkerSet] = []
@@ -116,13 +116,14 @@ class CompiledSubsetEVA:
 
         # --- symbol equivalence classes over the base letter columns --- #
         # Two symbols share a class iff every base state maps them to the
-        # same target set; one trailing empty foreign column absorbs
-        # out-of-alphabet characters.
+        # same target set; out-of-alphabet characters read as OTHER's class
+        # or, without OTHER, as one trailing empty foreign column.
         columns = (
             tuple(zip(*self.base_letter)) if self.base_letter and self.symbols else ()
         )
         class_of, representatives = classify_columns(columns)
-        self.classing = SymbolClassing(self.symbols, class_of)
+        other = automaton.other
+        self.classing = SymbolClassing(self.symbols, class_of, other.symbol if other else None)
         if representatives:
             self.base_letter_by_class = tuple(
                 row + ((),) for row in zip(*representatives)

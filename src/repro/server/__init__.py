@@ -1,7 +1,7 @@
 """``repro serve`` — the long-lived asyncio extraction service.
 
 The server front-end that PR 5's streaming subsystem was built for: many
-concurrent clients each open a ``(pattern, alphabet, emit-mode)`` session
+concurrent clients each open a ``(pattern, emit-mode)`` session
 over HTTP, feed document text in chunks, and receive mappings back the
 moment they settle (newline-delimited JSON both ways).  Compiled plans
 are shared across tenants through one size-bounded

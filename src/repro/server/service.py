@@ -2,8 +2,8 @@
 
 :class:`SpannerService` owns everything the HTTP front-end
 (:mod:`repro.server.http`) must not: the **shared plan cache** (one
-:class:`~repro.runtime.plan.PlanCache` mapping ``(pattern, alphabet)``
-to a compiled :class:`~repro.spanners.Spanner`, so concurrent sessions
+:class:`~repro.runtime.plan.PlanCache` mapping each pattern to a
+compiled :class:`~repro.spanners.Spanner`, so concurrent sessions
 over the same pattern compile once and every repeat request is a cache
 hit), **admission control** (a hard cap on concurrent sessions plus a
 per-session fed-bytes cap), and the :class:`~repro.server.metrics.ServerMetrics`
@@ -51,6 +51,7 @@ __all__ = [
 
 #: The default declared alphabet of a session that does not send one:
 #: printable ASCII plus the usual whitespace, matching ``repro stream``.
+#: Kept for compatibility; a declared alphabet no longer affects compilation.
 DEFAULT_SERVE_ALPHABET = "".join(chr(point) for point in range(32, 127)) + "\t\n\r"
 
 
@@ -74,7 +75,7 @@ class ServerConfig:
     port: int = 8765
     #: Hard cap on concurrently open sessions; past it, opens get 429.
     max_sessions: int = 64
-    #: Bound of the shared ``(pattern, alphabet)`` → compiled-plan cache.
+    #: Bound of the shared pattern → compiled-plan cache.
     plan_cache_size: int = 32
     #: Per-session cap on fed document bytes (UTF-8); 0 disables the cap.
     max_session_bytes: int = 64 * 1024 * 1024
@@ -88,8 +89,6 @@ class ServerConfig:
     idle_timeout: float = 30.0
     #: Capacity of the per-request latency ring behind ``/metrics``.
     latency_capacity: int = 1024
-    #: Alphabet used by sessions that do not declare one.
-    default_alphabet: str = DEFAULT_SERVE_ALPHABET
 
     def __post_init__(self) -> None:
         if self.max_sessions < 1:
@@ -116,7 +115,6 @@ class PlanEntry:
     """One shared-cache entry: a compiled spanner plus its metadata."""
 
     pattern: str
-    alphabet: str
     spanner: Spanner
     variables: tuple[str, ...]
     sessions_served: int = 0
@@ -128,9 +126,7 @@ class PlanEntry:
         # Each session gets a private evaluator (and scratch): settled
         # mappings are delivered through feed(), so nothing needs to be
         # retained for a finish()-time replay.
-        return self.spanner.stream(
-            alphabet=self.alphabet, emit=emit, retain_settled=False
-        )
+        return self.spanner.stream(emit=emit, retain_settled=False)
 
 
 class Session:
@@ -269,33 +265,29 @@ class SpannerService:
     # ------------------------------------------------------------------ #
 
     def _build_entry(self, request: OpenRequest) -> PlanEntry:
-        alphabet = (
-            request.alphabet
-            if request.alphabet is not None
-            else self.config.default_alphabet
-        )
         spanner = Spanner.from_regex(request.pattern)
         # Compile eagerly so malformed patterns fail at open time (a 400)
         # instead of surfacing mid-stream, and so a cache hit really does
         # skip all compilation work.
-        evaluator = spanner.stream(alphabet=alphabet, emit=request.emit)
-        del evaluator  # construction forced the per-alphabet compilation
+        evaluator = spanner.stream(emit=request.emit)
+        del evaluator  # construction forced the compilation
         return PlanEntry(
             pattern=request.pattern,
-            alphabet=alphabet,
             spanner=spanner,
             variables=tuple(sorted(spanner.variables())),
         )
 
     def entry_for(self, request: OpenRequest) -> tuple[PlanEntry, str]:
         """The shared-cache entry for *request*, plus ``"hit"``/``"miss"``."""
-        key = request.cache_key(self.config.default_alphabet)
+        key = request.cache_key()
         outcome = "hit" if key in self.plan_cache else "miss"
         entry = self.plan_cache.get_or_create(key, lambda: self._build_entry(request))
         return entry, outcome
 
     def warm(self, pattern: str, alphabet: str | None = None) -> PlanEntry:
         """Precompile *pattern* into the shared cache (the ``--warm`` flag).
+
+        *alphabet* is accepted for compatibility and ignored.
 
         Raises :class:`~repro.core.errors.ParseError` /
         :class:`~repro.core.errors.CompilationError` on malformed input —

@@ -4,9 +4,12 @@ The pipeline mirrors Section 4 of the paper: regex formulas compile to VA,
 VA convert to extended VA, algebra expressions compile bottom-up with the
 operator constructions of Proposition 4.4, and the result is
 sequentialized (if needed) and determinized so that the constant-delay
-algorithm applies.  Each stage's size and wall-clock time are recorded in a
-:class:`CompilationReport`, which the benchmarks use to reproduce the
-paper's translation-cost statements (Propositions 4.1–4.6).
+algorithm applies.  Wildcards and negated classes compile over the
+source's literals plus the OTHER letter (:class:`OtherLetter`), so no stage
+depends on the documents the spanner later reads.  Each stage's size and
+wall-clock time are recorded in a :class:`CompilationReport`, which the
+benchmarks use to reproduce the paper's translation-cost statements
+(Propositions 4.1–4.6).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable
 
 from repro.core.errors import CompilationError
 from repro.automata.analysis import AutomatonStatistics, is_sequential, statistics, trim
-from repro.automata.eva import ExtendedVA
+from repro.automata.eva import ExtendedVA, OtherLetter
 from repro.automata.transforms import (
     determinize,
     relabel_states,
@@ -109,6 +112,12 @@ class CompilationPipeline:
         self._source = source
         self._base_alphabet = frozenset(alphabet)
         self._check_functional_joins = check_functional_joins
+        letters = self._base_alphabet | _source_letters(source)
+        if self.source_needs_alphabet():
+            self._other: OtherLetter | None = OtherLetter.outside(letters)
+        else:  # an eVA source keeps the OTHER letter it was compiled with
+            self._other = source.other if isinstance(source, ExtendedVA) else None
+        self._letters = self._other.letters if self._other else letters
 
     @property
     def source(self) -> object:
@@ -120,8 +129,13 @@ class CompilationPipeline:
         """The user-supplied alphabet, unioned into every compilation."""
         return self._base_alphabet
 
+    @property
+    def other(self) -> OtherLetter | None:
+        """The OTHER letter of the source, or ``None`` without wildcards."""
+        return self._other
+
     def source_needs_alphabet(self) -> bool:
-        """Whether compilation output depends on the document alphabet."""
+        """Whether the source has a wildcard or negated class (reads OTHER)."""
         if isinstance(self._source, RegexNode):
             return self._source.needs_alphabet()
         if isinstance(self._source, SpannerExpression):
@@ -131,9 +145,7 @@ class CompilationPipeline:
             )
         return False
 
-    def compile_sequential(
-        self, extra_alphabet: Iterable[str] = ()
-    ) -> tuple[ExtendedVA, CompilationReport]:
+    def compile_sequential(self) -> tuple[ExtendedVA, CompilationReport]:
         """Run the pipeline up to (and including) sequentialization.
 
         The result is a *sequential but possibly non-deterministic* eVA —
@@ -141,10 +153,8 @@ class CompilationPipeline:
         planner (which inspects it to decide whether determinizing up
         front is affordable).  :meth:`compile` continues from here.
         """
-        alphabet = self._base_alphabet | frozenset(extra_alphabet)
         report = CompilationReport()
-
-        extended, assume_sequential = self._to_extended(alphabet, report)
+        extended, assume_sequential = self._to_extended(report)
 
         start = time.perf_counter()
         sequential = assume_sequential or is_sequential(extended)
@@ -154,6 +164,7 @@ class CompilationPipeline:
         else:
             extended = trim(extended)
             report.record("trim", extended, time.perf_counter() - start)
+        extended.other = self._other  # trim and sequentialize built it afresh
         return extended, report
 
     def determinize_stage(
@@ -175,13 +186,12 @@ class CompilationPipeline:
         else:
             extended = relabel_states(extended)
             report.record("relabel", extended, time.perf_counter() - start)
+        extended.other = self._other
         return extended, report
 
-    def compile(
-        self, extra_alphabet: Iterable[str] = ()
-    ) -> tuple[ExtendedVA, CompilationReport]:
+    def compile(self) -> tuple[ExtendedVA, CompilationReport]:
         """Run the full pipeline and return the deterministic seVA plus a report."""
-        extended, report = self.compile_sequential(extra_alphabet)
+        extended, report = self.compile_sequential()
         return self.determinize_stage(extended, report)
 
     def intern(self, extended: ExtendedVA, report: CompilationReport):
@@ -198,13 +208,13 @@ class CompilationPipeline:
         report.record("intern", extended, time.perf_counter() - start)
         return compiled
 
-    def optimize_expression(self, extra_alphabet: Iterable[str] = (), **options):
+    def optimize_expression(self, **options):
         """Run the cost-based expression optimizer for this source.
 
         Returns the :class:`~repro.algebra.optimizer.OptimizedPlan` whose
-        physical tree still needs :meth:`PhysicalOperator.prepare` for the
-        alphabet key (the :class:`~repro.spanners.Spanner` facade prepares
-        and caches it per key).  Non-expression sources are wrapped in an
+        physical tree still needs :meth:`PhysicalOperator.prepare` (the
+        :class:`~repro.spanners.Spanner` facade prepares and caches it).
+        Non-expression sources are wrapped in an
         :class:`~repro.algebra.expressions.Atom`, so ``repro explain`` can
         render the (trivial) plan of a plain regex or automaton spanner.
         *options* are forwarded to :func:`repro.algebra.optimizer.optimize`
@@ -216,10 +226,9 @@ class CompilationPipeline:
         source = self._source
         if not isinstance(source, SpannerExpression):
             source = Atom(source)
-        alphabet = self._base_alphabet | frozenset(extra_alphabet)
-        return optimize(source, alphabet, **options)
+        return optimize(source, self._letters, **options)
 
-    def compile_runtime(self, extra_alphabet: Iterable[str] = ()):
+    def compile_runtime(self):
         """Run the pipeline and intern the result into a :class:`CompiledEVA`.
 
         This is the compile-once entry point of the batch engine: the dense
@@ -227,17 +236,15 @@ class CompilationPipeline:
         every document (and pickled once per worker in process mode).  The
         interning cost is recorded as its own pipeline stage.
         """
-        extended, report = self.compile(extra_alphabet)
+        extended, report = self.compile()
         return self.intern(extended, report), report
 
-    def _to_extended(
-        self, alphabet: frozenset[str], report: CompilationReport
-    ) -> tuple[ExtendedVA, bool]:
+    def _to_extended(self, report: CompilationReport) -> tuple[ExtendedVA, bool]:
         """Produce the initial extended VA and whether it is known sequential."""
         source = self._source
         if isinstance(source, RegexNode):
             start = time.perf_counter()
-            automaton = compile_to_va(source, alphabet)
+            automaton = compile_to_va(source, self._letters)
             report.record("regex→VA", automaton, time.perf_counter() - start)
             start = time.perf_counter()
             extended = va_to_eva(automaton)
@@ -254,13 +261,22 @@ class CompilationPipeline:
         if isinstance(source, SpannerExpression):
             start = time.perf_counter()
             extended = compile_expression(
-                source, alphabet, check_functional_joins=self._check_functional_joins
+                source, self._letters, check_functional_joins=self._check_functional_joins
             )
             report.record("algebra→eVA", extended, time.perf_counter() - start)
             return extended, False
         raise CompilationError(f"unsupported spanner source {source!r}")
 
-    def statistics(self, extra_alphabet: Iterable[str] = ()) -> AutomatonStatistics:
+    def statistics(self) -> AutomatonStatistics:
         """Statistics of the compiled deterministic seVA."""
-        compiled, _report = self.compile(extra_alphabet)
+        compiled, _report = self.compile()
         return statistics(compiled, check_properties=True)
+
+
+def _source_letters(source: object) -> frozenset[str]:
+    """The characters *source* mentions: regex literals, automaton alphabets."""
+    if isinstance(source, RegexNode):
+        return source.literals()
+    if isinstance(source, SpannerExpression):
+        return frozenset().union(*(_source_letters(atom.source) for atom in source.atoms()))
+    return source.alphabet()

@@ -10,21 +10,24 @@ evaluation operations of the paper:
 * :meth:`Spanner.count` — output counting in ``O(|A| × |d|)`` (Algorithm 3),
 * :meth:`Spanner.extract` — convenience extraction of the captured text.
 
-Compilation into a deterministic sequential eVA happens lazily and is
-cached per alphabet (wildcard patterns expand over the characters of the
-documents they are evaluated on); the cache is a small LRU bounded by the
-``max_cached_alphabets`` knob, and every per-alphabet artifact — the
-sequential eVA, the deterministic eVA, both compiled runtimes and the
-execution plan — lives in **one** entry, so they are evicted together.
+Compilation into a deterministic sequential eVA happens lazily and exactly
+once per spanner.  Wildcards and negated classes compile over the pattern's
+literals plus one OTHER letter (:class:`~repro.automata.eva.OtherLetter`)
+that stands for every character the pattern does not mention, so a wildcard
+matches any character of any document and no compiled artifact depends on
+the documents.  Every artifact — the sequential eVA, the deterministic eVA,
+both compiled runtimes and the execution plan — lives in **one**
+compiled state; :meth:`Spanner.cache_stats` counts its first lookup as the
+one miss and every later lookup as a hit.
 
 Documents flow down to the engines as objects: every compiled engine
 translates them once per alphabet-classing signature into a cached
 class-id buffer (:mod:`repro.runtime.encoding`), so calling
 :meth:`Spanner.enumerate`, :meth:`Spanner.count` and
 :meth:`Spanner.extract` on the same :class:`~repro.core.documents.Document`
-pays a single C-level encoding pass, and the per-alphabet cache entry
-carries one reusable :class:`~repro.runtime.engine.EvaluationScratch` for
-the arena and counting engines.
+pays a single C-level encoding pass, and the compiled state carries one
+reusable :class:`~repro.runtime.engine.EvaluationScratch` for the arena and
+counting engines.
 
 Evaluation goes through the :class:`~repro.runtime.plan.ExecutionPlan`
 layer.  ``engine="auto"`` (the default) lets the planner pick between the
@@ -42,8 +45,8 @@ the explicit ``"hybrid"``) the expression tree is rewritten (projection
 pushdown, union/join flattening, join reordering) and each operator either
 fuses into an automaton (Proposition 4.4) or cuts into a runtime operator
 over result arenas (:mod:`repro.runtime.operators`).  The optimized plan
-is cached in the same per-alphabet LRU entry as the other compilation
-artifacts; :meth:`Spanner.explain` renders the logical → physical plan.
+is cached in the same compiled state as the other compilation artifacts;
+:meth:`Spanner.explain` renders the logical → physical plan.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ from repro.runtime.plan import (
     KERNEL_CHOICES,
     CacheStats,
     ExecutionPlan,
-    PlanCache,
     choose_plan,
 )
 from repro.runtime.runlength import (
@@ -91,8 +93,16 @@ from repro.spanners.pipeline import CompilationPipeline, CompilationReport
 __all__ = ["Spanner"]
 
 
+def _check_choices(engine: str, kernel: str) -> None:
+    """Reject an unknown engine or kernel name."""
+    if engine not in ENGINE_CHOICES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}")
+    if kernel not in KERNEL_CHOICES:
+        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}")
+
+
 class _CompiledState:
-    """Everything compiled for one alphabet key, evicted as a unit."""
+    """Everything compiled for the spanner, built lazily piece by piece."""
 
     __slots__ = (
         "sequential",
@@ -118,7 +128,7 @@ class _CompiledState:
         self.scratch: EvaluationScratch | None = None
         self.plan: ExecutionPlan | None = None
         self.stats: AutomatonStatistics | None = None
-        self.optimized = None  # OptimizedPlan, physical tree prepared for the key
+        self.optimized = None  # OptimizedPlan, physical tree prepared on demand
         self.shard_pool: ShardPool | None = None
 
 
@@ -132,19 +142,11 @@ class Spanner:
         *,
         engine: str = "auto",
         kernel: str = "auto",
-        max_cached_alphabets: int = 8,
         unchecked: bool = False,
         shard_min_chars: int = DEFAULT_SHARD_MIN_CHARS,
         resilience: ResiliencePolicy | None = None,
     ) -> None:
-        if engine not in ENGINE_CHOICES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}"
-            )
-        if kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}"
-            )
+        _check_choices(engine, kernel)
         if shard_min_chars < 1:
             raise ValueError(
                 f"shard_min_chars must be positive, got {shard_min_chars}"
@@ -164,14 +166,10 @@ class Spanner:
         # means the module default: retries plus inline fallback, no
         # quarantine, no resource budget.
         self._resilience = resilience
-        # One LRU entry per alphabet key; the sequential eVA, deterministic
-        # eVA, both compiled runtimes and the plan share the entry so a
-        # single eviction drops them together.  The cache is the shared
-        # PlanCache structure of the plan layer — thread-safe and counted,
-        # so the server front-end can expose per-spanner hit ratios too.
-        self._states: PlanCache[frozenset[str], _CompiledState] = PlanCache(
-            max_cached_alphabets, name="spanner-alphabets"
-        )
+        # The one compiled state, and how often it has been looked up (the
+        # first lookup is the compile miss of cache_stats()).
+        self._state = _CompiledState()
+        self._lookups = 0
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -232,24 +230,35 @@ class Spanner:
         return frozenset(self._pipeline.source.variables())
 
     def compiled(self, document: object = "") -> ExtendedVA:
-        """The deterministic sequential eVA used to evaluate *document*."""
-        return self._compiled_for(document)[0]
+        """The deterministic sequential eVA that evaluates every document.
+
+        Like every *document* parameter below, *document* is ignored.
+        """
+        return self._automaton()[0]
 
     def compilation_report(self, document: object = "") -> CompilationReport:
-        """The per-stage report of the compilation used for *document*."""
-        return self._compiled_for(document)[1]
+        """The per-stage report of the spanner's one compilation."""
+        return self._automaton()[1]
 
     def statistics(self, document: object = "") -> AutomatonStatistics:
         """Size statistics of the compiled automaton."""
-        return statistics(self.compiled(document), check_properties=True)
+        return statistics(self.compiled(), check_properties=True)
 
     def runtime(self, document: object = "") -> CompiledEVA:
-        """The interned :class:`CompiledEVA` used to evaluate *document*."""
-        return self._runtime_for_key(self._alphabet_key(document))
+        """The interned :class:`CompiledEVA` that evaluates every document."""
+        state = self._compiled_state()
+        if state.runtime is None:
+            automaton, report = self._automaton()
+            state.runtime = self._pipeline.intern(automaton, report)
+        return state.runtime
 
     def otf_runtime(self, document: object = "") -> CompiledSubsetEVA:
         """The lazily determinized runtime used by ``engine="compiled-otf"``."""
-        return self._otf_runtime_for_key(self._alphabet_key(document))
+        state = self._compiled_state()
+        if state.otf_runtime is None:
+            sequential, _report = self._sequential()
+            state.otf_runtime = CompiledSubsetEVA(sequential)
+        return state.otf_runtime
 
     def plan(
         self,
@@ -259,20 +268,14 @@ class Spanner:
         kernel: str | None = None,
     ) -> ExecutionPlan:
         """The :class:`ExecutionPlan` that would evaluate *document*."""
-        return self._plan_for_key(self._alphabet_key(document), engine, kernel)
-
-    @property
-    def max_cached_alphabets(self) -> int:
-        """The bound of the per-alphabet compilation cache."""
-        return self._states.max_entries
-
-    def cached_alphabets(self) -> int:
-        """How many alphabet keys currently sit in the compilation cache."""
-        return len(self._states)
+        return self._plan(engine, kernel)
 
     def cache_stats(self) -> CacheStats:
-        """Hit/miss/eviction counters of the per-alphabet compilation cache."""
-        return self._states.stats()
+        """Lookups of the compiled state: the first is the one compile miss."""
+        misses = min(self._lookups, 1)
+        return CacheStats(
+            self._lookups - misses, misses, evictions=0, entries=misses, max_entries=1
+        )
 
     def explain(self, document: object = "", *, engine: str | None = None) -> str:
         """Render the logical and physical plan that evaluates *document*.
@@ -282,15 +285,15 @@ class Spanner:
         the optimized tree annotated with estimated automaton sizes, the
         physical operator tree with each fused leaf's engine, and the
         resolved :class:`ExecutionPlan`.  This is what the ``repro
-        explain`` CLI subcommand prints.
+        explain`` CLI subcommand prints.  The plan is the same for every
+        document.
         """
-        key = self._alphabet_key(document)
-        plan = self._plan_for_key(key, engine)
-        # Hybrid plans were prepared by _plan_for_key; a fully-fused plan
-        # is rendered unprepared — its single leaf would recompile the
+        plan = self._plan(engine)
+        # Hybrid plans were prepared by _plan; a fully-fused plan is
+        # rendered unprepared — its single leaf would recompile the
         # monolithic automaton that the "execution plan" line already
         # describes.
-        optimized = self._optimized_for_key(key)
+        optimized = self._optimized()
         source = repr(self._pipeline.source)
         if len(source) > 120:
             source = source[:117] + "..."
@@ -300,119 +303,87 @@ class Spanner:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------ #
-    # Per-alphabet compilation cache (bounded LRU)
+    # The compiled state, built lazily piece by piece
     # ------------------------------------------------------------------ #
 
-    def _alphabet_key(self, document: object) -> frozenset[str]:
-        if self._pipeline.source_needs_alphabet():
-            return frozenset(as_text(document))
-        return frozenset()
+    def _compiled_state(self) -> _CompiledState:
+        self._lookups += 1
+        return self._state
 
-    def _state_for_key(self, key: frozenset[str]) -> _CompiledState:
-        return self._states.get_or_create(key, _CompiledState)
-
-    def _sequential_for_key(
-        self, key: frozenset[str]
-    ) -> tuple[ExtendedVA, CompilationReport]:
-        state = self._state_for_key(key)
+    def _sequential(self) -> tuple[ExtendedVA, CompilationReport]:
+        state = self._compiled_state()
         if state.sequential is None:
             state.sequential, state.sequential_report = (
-                self._pipeline.compile_sequential(key)
+                self._pipeline.compile_sequential()
             )
         return state.sequential, state.sequential_report
 
-    def _compiled_for(self, document: object) -> tuple[ExtendedVA, CompilationReport]:
-        return self._compiled_for_key(self._alphabet_key(document))
-
-    def _compiled_for_key(self, key: frozenset[str]) -> tuple[ExtendedVA, CompilationReport]:
-        state = self._state_for_key(key)
+    def _automaton(self) -> tuple[ExtendedVA, CompilationReport]:
+        state = self._compiled_state()
         if state.automaton is None:
-            sequential, report = self._sequential_for_key(key)
+            sequential, report = self._sequential()
             state.automaton, state.report = self._pipeline.determinize_stage(
                 sequential, report.copy()
             )
         return state.automaton, state.report
 
-    def _runtime_for_key(self, key: frozenset[str]) -> CompiledEVA:
-        state = self._state_for_key(key)
-        if state.runtime is None:
-            automaton, report = self._compiled_for_key(key)
-            state.runtime = self._pipeline.intern(automaton, report)
-        return state.runtime
-
-    def _scratch_for_key(self, key: frozenset[str]) -> EvaluationScratch:
-        """The per-alphabet reusable :class:`EvaluationScratch`.
+    def _scratch(self) -> EvaluationScratch:
+        """The reusable :class:`EvaluationScratch` of the compiled runtime.
 
         Shared by the arena engine and :func:`count_compiled`, so repeated
         ``enumerate``/``count`` calls through the facade allocate no slot
-        arrays.  A scratch is single-threaded, like the compilation cache
-        it lives in.
+        arrays.  A scratch is single-threaded, like the compiled state it
+        lives in.
         """
-        state = self._state_for_key(key)
+        state = self._compiled_state()
         if state.scratch is None:
-            state.scratch = EvaluationScratch(self._runtime_for_key(key))
+            state.scratch = EvaluationScratch(self.runtime())
         return state.scratch
 
-    def _otf_runtime_for_key(self, key: frozenset[str]) -> CompiledSubsetEVA:
-        state = self._state_for_key(key)
-        if state.otf_runtime is None:
-            sequential, _report = self._sequential_for_key(key)
-            state.otf_runtime = CompiledSubsetEVA(sequential)
-        return state.otf_runtime
-
-    def _optimized_for_key(self, key: frozenset[str], *, prepare: bool = False):
-        """The cached :class:`OptimizedPlan` for *key*.
+    def _optimized(self, *, prepare: bool = False):
+        """The cached :class:`OptimizedPlan`.
 
         The physical tree's fused leaves are only compiled when *prepare*
         is true — hybrid plans need them, but a fully-fused plan executes
-        through the regular monolithic cache instead, so preparing its
-        single leaf would compile the expression twice for nothing.
+        through the regular monolithic compilation instead, so preparing
+        its single leaf would compile the expression twice for nothing.
         """
-        state = self._state_for_key(key)
+        state = self._compiled_state()
         if state.optimized is None:
             state.optimized = self._pipeline.optimize_expression(
-                key, unchecked=self._unchecked
+                unchecked=self._unchecked
             )
         if prepare:
-            # Leaves compile over base ∪ key, exactly like the monolithic
-            # pipeline (and the optimizer's own atom profiling) do.
-            state.optimized.physical.prepare(self._pipeline.base_alphabet | key)
+            state.optimized.physical.prepare(self._pipeline.base_alphabet)
         return state.optimized
 
-    def _reject_hybrid_streaming(self, key: frozenset[str]) -> None:
-        """Refuse to stream an expression whose plan must be hybrid.
+    def _reject_hybrid(self, cannot: str, instead: str) -> None:
+        """Refuse streaming or sharding for an expression whose plan is hybrid.
 
         When the optimizer cuts the expression tree, the monolithic
         fused automaton is not a sound substitute (joins over
         non-provably-functional operands silently lose mappings — the
-        very reason hybrid plans exist), so streaming cannot quietly
+        very reason hybrid plans exist), so those routes cannot quietly
         fall back to it the way whole-document evaluation never would.
         """
-        if not isinstance(self._pipeline.source, SpannerExpression):
-            return
-        if self._optimized_for_key(key).is_hybrid:
+        if isinstance(self._pipeline.source, SpannerExpression) and (
+            self._optimized().is_hybrid
+        ):
             raise ValueError(
-                "this expression optimizes to a hybrid operator plan, which "
-                "cannot evaluate chunk-fed documents; evaluate whole "
-                "documents (engine='hybrid'/'auto') instead"
+                f"this expression optimizes to a hybrid operator plan, which {cannot}; "
+                f"{instead}"
             )
 
-    def _plan_for_key(
-        self,
-        key: frozenset[str],
-        engine: str | None,
-        kernel: str | None = None,
-    ) -> ExecutionPlan:
+    def _reject_hybrid_streaming(self) -> None:
+        self._reject_hybrid(
+            "cannot evaluate chunk-fed documents",
+            "evaluate whole documents (engine='hybrid'/'auto') instead",
+        )
+
+    def _plan(self, engine: str | None, kernel: str | None = None) -> ExecutionPlan:
         engine = self._engine if engine is None else engine
         kernel = self._kernel if kernel is None else kernel
-        if engine not in ENGINE_CHOICES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}"
-            )
-        if kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}"
-            )
+        _check_choices(engine, kernel)
         # Expression sources consult the cost-based optimizer: when it cuts
         # the tree, both "auto" and the explicit "hybrid" run the physical
         # operator plan.  When it fuses everything (or the source is not an
@@ -423,10 +394,10 @@ class Spanner:
         if engine in ("auto", "hybrid") and isinstance(
             self._pipeline.source, SpannerExpression
         ):
-            optimized = self._optimized_for_key(key)
+            optimized = self._optimized()
             if optimized.is_hybrid:
-                self._optimized_for_key(key, prepare=True)
-                state = self._state_for_key(key)
+                self._optimized(prepare=True)
+                state = self._compiled_state()
                 if state.plan is None or state.plan.engine != "hybrid":
                     state.plan = ExecutionPlan(
                         "hybrid",
@@ -444,37 +415,23 @@ class Spanner:
             engine = "auto"
         if engine != "auto":
             return choose_plan(engine=engine, kernel=kernel)
-        state = self._state_for_key(key)
+        state = self._compiled_state()
         if state.plan is None or state.plan.engine == "hybrid":
-            state.plan = choose_plan(self._planner_stats(key), engine="auto")
+            state.plan = choose_plan(self._planner_stats(), engine="auto")
         if state.plan.kernel != kernel:
             return replace(state.plan, kernel=kernel)
         return state.plan
 
-    def _sharded_plan_for_key(
-        self,
-        key: frozenset[str],
-        engine: str | None,
-        workers: int,
-        kernel: str | None = None,
+    def _sharded_plan(
+        self, engine: str | None, workers: int, kernel: str | None = None
     ) -> ExecutionPlan:
-        """Resolve a shard-parallel plan (``workers > 1``) for *key*.
-
-        Sharding runs the dense-table compiled engine; an expression
-        whose optimizer plan is hybrid cannot silently degrade to the
-        monolithic fused automaton (the same soundness argument as for
-        streaming), so it is rejected rather than mis-evaluated.
-        """
+        """Resolve a shard-parallel plan (``workers > 1``) on the dense tables."""
         engine = self._engine if engine is None else engine
-        if engine in ("auto", "hybrid") and isinstance(
-            self._pipeline.source, SpannerExpression
-        ):
-            if self._optimized_for_key(key).is_hybrid:
-                raise ValueError(
-                    "this expression optimizes to a hybrid operator plan, "
-                    "which cannot shard one document across workers; "
-                    "evaluate without workers instead"
-                )
+        if engine in ("auto", "hybrid"):
+            self._reject_hybrid(
+                "cannot shard one document across workers",
+                "evaluate without workers instead",
+            )
         if engine == "hybrid":
             engine = "auto"
         return choose_plan(
@@ -483,41 +440,37 @@ class Spanner:
             kernel=self._kernel if kernel is None else kernel,
         )
 
-    def _shard_pool_for_key(self, key: frozenset[str], workers: int) -> ShardPool:
-        """The per-alphabet persistent shard worker pool (lazily built).
+    def _shard_pool(self, workers: int) -> ShardPool:
+        """The persistent shard worker pool (lazily built).
 
-        Cached in the same LRU entry as the compiled runtime it is bound
-        to, so eviction drops both together (the pool's ``__del__``
-        terminates its processes).  A request with a different worker
-        count replaces the pool.
+        Held by the compiled state next to the runtime it is bound to.  A
+        request with a different worker count replaces the pool.
         """
-        state = self._state_for_key(key)
+        state = self._compiled_state()
         pool = state.shard_pool
         if pool is not None and pool.workers == workers and not pool.closed:
             return pool
         if pool is not None:
             pool.close()
-        pool = ShardPool(self._runtime_for_key(key), workers)
+        pool = ShardPool(self.runtime(), workers)
         state.shard_pool = pool
         return pool
 
     def close(self) -> None:
-        """Release worker pools held by the compilation cache.
+        """Release the shard worker pool, if one was started.
 
-        Idempotent; the spanner stays usable (pools are rebuilt on the
-        next ``workers > 1`` call).  Without it, pools are torn down by
-        garbage collection of their cache entries.
+        Idempotent; the spanner stays usable (the pool is rebuilt on the
+        next ``workers > 1`` call).  Without it, the pool is torn down by
+        garbage collection of the spanner.
         """
-        for key in self._states.keys():
-            state = self._states.get(key)
-            if state is not None and state.shard_pool is not None:
-                state.shard_pool.close()
-                state.shard_pool = None
+        if self._state.shard_pool is not None:
+            self._state.shard_pool.close()
+            self._state.shard_pool = None
 
-    def _planner_stats(self, key: frozenset[str]) -> AutomatonStatistics:
-        state = self._state_for_key(key)
+    def _planner_stats(self) -> AutomatonStatistics:
+        state = self._compiled_state()
         if state.stats is None:
-            sequential, _report = self._sequential_for_key(key)
+            sequential, _report = self._sequential()
             state.stats = replace(
                 statistics(sequential), deterministic=sequential.is_deterministic()
             )
@@ -558,40 +511,33 @@ class Spanner:
         ``compiled-otf`` capture path has no run-length arena and runs
         scalar regardless.
         """
-        key = self._alphabet_key(document)
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
         if workers is not None and workers > 1:
-            plan = self._sharded_plan_for_key(key, engine, workers, kernel)
-            runtime = self._runtime_for_key(key)
+            plan = self._sharded_plan(engine, workers, kernel)
+            runtime = self.runtime()
             if len(as_text(document)) >= self._shard_min_chars:
                 return evaluate_sharded(
                     runtime,
                     document,
-                    pool=self._shard_pool_for_key(key, plan.shard_workers),
+                    pool=self._shard_pool(plan.shard_workers),
                     shards=plan.shard_workers,
                     kernel=plan.kernel,
                     policy=self._resilience,
                 )
             return evaluate_arena_with_kernel(
-                runtime,
-                document,
-                kernel=plan.kernel,
-                scratch=self._scratch_for_key(key),
+                runtime, document, kernel=plan.kernel, scratch=self._scratch()
             )
-        plan = self._plan_for_key(key, engine, kernel)
+        plan = self._plan(engine, kernel)
         if plan.engine == "hybrid":
             return plan.operators.execute(document)
         if plan.engine == "reference":
-            automaton, _report = self._compiled_for_key(key)
+            automaton, _report = self._automaton()
             return run_evaluate(automaton, document, check_determinism=False)
         if plan.engine == "compiled-otf":
-            return evaluate_subset_arena(self._otf_runtime_for_key(key), document)
+            return evaluate_subset_arena(self.otf_runtime(), document)
         return evaluate_arena_with_kernel(
-            self._runtime_for_key(key),
-            document,
-            kernel=plan.kernel,
-            scratch=self._scratch_for_key(key),
+            self.runtime(), document, kernel=plan.kernel, scratch=self._scratch()
         )
 
     def enumerate(
@@ -637,34 +583,29 @@ class Spanner:
 
         Returns a :class:`~repro.runtime.streaming.StreamingEvaluator`:
         ``feed()`` it ``str`` or ``bytes`` chunks as they arrive and
-        ``finish()`` it at end of stream.  Because the document is not
-        known up front, wildcard patterns compile over *alphabet* (plus
-        the spanner's base alphabet) instead of the document's own
-        characters — declare every character the stream may carry.
-        Characters outside it kill every run (the compiled engines'
-        semantics); under ``emit="incremental"`` they raise once
-        mappings have been delivered, since delivery cannot be
-        retracted.  The plan layer resolves the engine with
-        ``streaming=True`` — only ``"compiled"`` (or ``"auto"``) can
-        stream.
+        ``finish()`` it at end of stream.  The stream runs the spanner's
+        one compiled automaton, so its output equals :meth:`extract` on
+        the same text; *alphabet* is accepted for compatibility and
+        ignored.  A character that a wildcard-free pattern does not
+        mention kills every run; under ``emit="incremental"`` it raises
+        once mappings have been delivered, since delivery cannot be
+        retracted.  The
+        plan layer resolves the engine with ``streaming=True`` — only
+        ``"compiled"`` (or ``"auto"``) can stream.
         """
         plan = choose_plan(
             engine=self._engine if engine is None else engine, streaming=True
         )
         assert plan.streaming and plan.engine == "compiled"
-        if self._pipeline.source_needs_alphabet():
-            key = frozenset(alphabet)
-        else:
-            key = frozenset()
-        self._reject_hybrid_streaming(key)
+        self._reject_hybrid_streaming()
         # A stream holds its evaluator state across feeds, so it gets a
-        # private scratch: the per-alphabet cached scratch may be
-        # borrowed by interleaved enumerate/count calls meanwhile.
+        # private scratch: the cached scratch may be borrowed by
+        # interleaved enumerate/count calls meanwhile.
         # ``retain_settled=False`` keeps an unbounded tail's memory at
         # the in-flight state: feed() still returns settled mappings,
         # finish() just doesn't replay them.
         return StreamingEvaluator(
-            self._runtime_for_key(key),
+            self.runtime(),
             emit=emit,
             fast_path=fast_path,
             retain_settled=retain_settled,
@@ -685,13 +626,9 @@ class Spanner:
         policy: ResiliencePolicy | None = None,
         report: FailureReport | None = None,
     ) -> Iterator[tuple[object, object]]:
-        """Evaluate the spanner over many documents, compiling exactly once.
+        """Evaluate the spanner over many documents with its one compilation.
 
-        The spanner is compiled over the *union* alphabet of the batch (a
-        wildcard expands to every character any document contains, which is
-        semantically transparent: transitions on characters a document does
-        not contain can never fire).  Results stream as ``(doc_id,
-        result)`` pairs in collection order; ``mode="processes"`` fans
+        Results stream as ``(doc_id, result)`` pairs in collection order; ``mode="processes"`` fans
         chunks of documents out to a multiprocessing pool, pickling the
         compiled automaton once per worker.  The engine is resolved through
         the planner exactly as for single documents; ``"compiled-otf"``
@@ -719,25 +656,21 @@ class Spanner:
         retry/rebuild/fallback counters for the run.
         """
         documents = DocumentCollection.coerce(documents)
-        if self._pipeline.source_needs_alphabet():
-            key = documents.alphabet()
-        else:
-            key = frozenset()
         if streaming:
             plan = choose_plan(
                 engine=self._engine if engine is None else engine,
                 streaming=True,
                 kernel=self._kernel if kernel is None else kernel,
             )
-            self._reject_hybrid_streaming(key)
+            self._reject_hybrid_streaming()
         else:
-            plan = self._plan_for_key(key, engine, kernel)
+            plan = self._plan(engine, kernel)
         if plan.engine == "hybrid":
             compiled: object = plan.operators
         elif plan.engine == "compiled-otf":
-            compiled = self._otf_runtime_for_key(key)
+            compiled = self.otf_runtime()
         else:
-            compiled = self._runtime_for_key(key)
+            compiled = self.runtime()
         return run_batch_compiled(
             compiled,
             documents,
@@ -775,44 +708,37 @@ class Spanner:
         the lazily determinized tables; ``"auto"`` decides per document
         from its measured run statistics.
         """
-        key = self._alphabet_key(document)
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
         if workers is not None and workers > 1:
-            shard_plan = self._sharded_plan_for_key(key, engine, workers, kernel)
-            runtime = self._runtime_for_key(key)
+            shard_plan = self._sharded_plan(engine, workers, kernel)
+            runtime = self.runtime()
             if len(as_text(document)) >= self._shard_min_chars:
                 return count_sharded(
                     runtime,
                     document,
-                    pool=self._shard_pool_for_key(key, shard_plan.shard_workers),
+                    pool=self._shard_pool(shard_plan.shard_workers),
                     shards=shard_plan.shard_workers,
                     kernel=shard_plan.kernel,
                     policy=self._resilience,
                 )
             return count_with_kernel(
-                runtime,
-                document,
-                kernel=shard_plan.kernel,
-                scratch=self._scratch_for_key(key),
+                runtime, document, kernel=shard_plan.kernel, scratch=self._scratch()
             )
-        plan = self._plan_for_key(key, engine, kernel)
+        plan = self._plan(engine, kernel)
         if plan.engine == "hybrid":
             # Cut-edge operators dedup while materializing, so the count is
             # the size of the (already deduplicated) result set.
             return plan.operators.execute(document).count()
         if plan.engine == "reference":
-            automaton, _report = self._compiled_for_key(key)
+            automaton, _report = self._automaton()
             return count_mappings(automaton, document, check_determinism=False)
         if plan.engine == "compiled-otf":
             return count_subset_with_kernel(
-                self._otf_runtime_for_key(key), document, kernel=plan.kernel
+                self.otf_runtime(), document, kernel=plan.kernel
             )
         return count_with_kernel(
-            self._runtime_for_key(key),
-            document,
-            kernel=plan.kernel,
-            scratch=self._scratch_for_key(key),
+            self.runtime(), document, kernel=plan.kernel, scratch=self._scratch()
         )
 
     def extract(

@@ -35,7 +35,7 @@ SHORT_DEADLINE = ResiliencePolicy(
 @pytest.fixture(scope="module")
 def compiled():
     spanner = Spanner.from_regex(LOG_PATTERN)
-    return spanner._runtime_for_key(spanner._alphabet_key(LOG_TEXT))
+    return spanner.runtime()
 
 
 @pytest.fixture(scope="module")

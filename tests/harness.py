@@ -4,7 +4,8 @@ One call — :func:`assert_all_engines_agree` — pins every evaluation route
 of the library against each other on one ``(spanner, document)`` pair:
 
 * the facade engines (``reference``, ``compiled``, ``compiled-otf``) plus
-  the ``auto`` plan, for both enumeration and counting;
+  the ``auto`` plan, for both enumeration and counting, the counts under
+  both the scalar and the run-length kernel;
 * the chunk-fed :class:`~repro.runtime.streaming.StreamingEvaluator`, in
   **both** emit modes, over a seeded adversarial set of chunkings of the
   same document: whole-document, one-character chunks, empty chunks
@@ -22,16 +23,17 @@ of the library against each other on one ``(spanner, document)`` pair:
   and the sharded count is re-run with ``kernel="runlength"`` so
   interior-shard summary passes go through the matrix path too.
 
-The streaming evaluator is opened over the document's own alphabet —
-exactly the alphabet key the facade derives for whole-document
-evaluation — so the comparison is engine-vs-engine on one compiled
-automaton, and characters that are foreign *to the pattern* (the
-adversarial corpus plants them at chunk boundaries) exercise the wildcard
-expansion rather than killing the stream.
+The streaming evaluator is opened with **no** declared alphabet: a
+spanner compiles once, over its literals plus the OTHER letter, so the
+comparison is engine-vs-engine on one compiled automaton, and characters
+the pattern never mentions (the adversarial corpus plants them at chunk
+boundaries) must read as OTHER on every route rather than kill the
+stream.
 
 :func:`adversarial_documents` is the seeded document corpus used by the
 deterministic streaming tests: multi-byte runs around chunk boundaries,
-characters outside the pattern alphabet, empty documents and single
+characters no pattern mentions (an astral emoji, ``\x00``, a combining
+mark and the OTHER representative itself), empty documents and single
 characters.
 
 Since the kernel-spec refactor every route above executes a loop
@@ -55,6 +57,7 @@ from repro.runtime.sharding import count_sharded, evaluate_sharded
 
 __all__ = [
     "FACADE_ENGINES",
+    "OTHER_SYMBOL",
     "adversarial_chunkings",
     "adversarial_documents",
     "adversarial_shard_counts",
@@ -65,6 +68,9 @@ __all__ = [
 
 #: The monolithic engines reachable through the facade's ``engine=`` knob.
 FACADE_ENGINES = ("reference", "compiled", "compiled-otf")
+
+#: The character a pattern over ``a``/``b`` represents OTHER by.
+OTHER_SYMBOL = "\ufdd0"
 
 
 def adversarial_chunkings(text: str, seed: int = 0, random_splits: int = 2):
@@ -104,9 +110,10 @@ def adversarial_documents(seed: int = 0) -> list[str]:
     """The seeded corpus of streaming-hostile documents.
 
     Mixes the two-letter pattern alphabet with characters the patterns
-    never mention (an accented letter, a low codepoint, an astral-plane
-    emoji) so that wildcard expansion, the foreign-class machinery and
-    multi-byte chunk splits are all on the table.
+    never mention (an accented letter, ``\x00``, an astral-plane emoji,
+    a combining mark and :data:`OTHER_SYMBOL`, the character the OTHER
+    letter is represented by) so that wildcard expansion, the OTHER and
+    foreign classes and multi-byte chunk splits are all on the table.
     """
     rng = random.Random(seed)
     corpus = [
@@ -118,8 +125,11 @@ def adversarial_documents(seed: int = 0) -> list[str]:
         "a\x00b",
         "ab\U0001f600ba",
         "éé" + "ab" * 2 + "é",
+        "a\u0301b",
+        OTHER_SYMBOL,
+        "ab" + OTHER_SYMBOL + "\U0001f600ba",
     ]
-    alphabet = "abé\x00"
+    alphabet = "abé\x00\u0301\U0001f600" + OTHER_SYMBOL
     for _ in range(4):
         corpus.append(
             "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
@@ -207,6 +217,12 @@ def assert_all_engines_agree(
         engine: spanner.count(text, engine=engine) for engine in FACADE_ENGINES
     }
     counts["auto"] = spanner.count(text)
+    if spanner.plan().engine != "hybrid":
+        for engine in ("compiled", "compiled-otf"):
+            for kernel in ("scalar", "runlength"):
+                counts[f"{engine}/{kernel}"] = spanner.count(
+                    text, engine=engine, kernel=kernel
+                )
     for engine, mapping_set in results.items():
         assert mapping_set == expected, (
             f"engine {engine!r} disagrees with 'compiled': "
@@ -268,18 +284,20 @@ def assert_all_engines_agree(
     if not streaming:
         return expected
 
-    # Stream over the document's own alphabet — the same key the facade
-    # used above, so every route runs one compiled automaton.  Characters
-    # the compiled classing still treats as foreign (possible when the
-    # pattern has no wildcard: compilation then ignores the declared
-    # alphabet) kill every run, so the whole-document output is empty —
+    # Stream with no declared alphabet: the spanner's one compiled
+    # automaton reads unmentioned characters as OTHER.  Only a
+    # wildcard-free pattern has no OTHER letter; a character it does not
+    # mention kills every run, so the whole-document output is empty —
     # and incremental mode is allowed to raise instead *if* it already
     # delivered mappings it would now have to retract.
-    alphabet = frozenset(text)
-    foreign = alphabet - set(spanner.runtime(text).classing.symbols)
+    classing = spanner.runtime().classing
+    foreign = (
+        classing.other_class == classing.foreign_class
+        and bool(set(text) - set(classing.symbols))
+    )
     for emit in ("on_finish", "incremental"):
         for label, chunks in adversarial_chunkings(text, seed=seed):
-            evaluator = spanner.stream(alphabet=alphabet, emit=emit)
+            evaluator = spanner.stream(emit=emit)
             fed = []
             try:
                 for chunk in chunks:

@@ -5,9 +5,11 @@ drives it with the reference :class:`~repro.server.client.StreamClient`:
 
 * **equivalence** — a session's emitted mappings match a direct
   :meth:`Spanner.stream` run over the same adversarial chunkings
-  (including the delivered-then-retracted conflicts incremental mode may
-  legitimately refuse, which the server must surface as in-band
-  ``streaming`` errors, not wrong answers);
+  (including, for a wildcard-free pattern, the delivered-then-retracted
+  conflicts incremental mode may legitimately refuse, which the server
+  must surface as in-band ``streaming`` errors, not wrong answers), and a
+  wildcard pattern matches ``extract`` on characters the session never
+  declared;
 * **shared-cache eviction** — a plan cache under pressure evicts while
   sessions holding the evicted entries are still feeding, without
   corrupting them;
@@ -30,6 +32,8 @@ from repro.server.service import AdmissionError
 from harness import adversarial_chunkings, adversarial_documents
 
 PATTERN = ".*x{a+b}.*"
+#: The same language over the letters a and b, without a wildcard.
+WILDCARD_FREE_PATTERN = "(a|b)*x{a+b}(a|b)*"
 
 
 def serve(config: ServerConfig):
@@ -86,16 +90,20 @@ class TestEquivalence:
 
         @serve(config)
         async def _(server, service):
-            for text in documents:
+            for pattern, text in (
+                (pattern, text)
+                for pattern in (PATTERN, WILDCARD_FREE_PATTERN)
+                for text in documents
+            ):
                 alphabet = "".join(sorted(set(text)))
                 for label, chunks in adversarial_chunkings(text, seed=7):
                     if label.startswith("bytes-"):
                         continue  # the JSON protocol carries decoded text
                     expected_kind, expected = direct_outcome(
-                        PATTERN, alphabet, chunks
+                        pattern, alphabet, chunks
                     )
                     client = await StreamClient.open(
-                        server.config.host, server.port, PATTERN, alphabet=alphabet
+                        server.config.host, server.port, pattern, alphabet=alphabet
                     )
                     assert client.status == 200, client.error_body
                     for chunk in chunks:
@@ -135,6 +143,33 @@ class TestEquivalence:
             assert all(e["settled"] is False for e in mapping_events)
             incremental = direct_outcome(PATTERN, "ab", ["aa", "ba"])[1]
             assert span_set(events) == incremental
+
+    def test_undeclared_characters_match_extract_in_both_emit_modes(self):
+        # The declared alphabet omits 'q' and 'z'; the wildcards must still
+        # read them, so the session answers exactly what extract does.
+        pattern = ".*ERROR w{[0-9]} .*"
+        text = "q ERROR 4 z"
+        expected = frozenset(
+            json.dumps({var: [span.begin, span.end] for var, span in m.items()})
+            for m in Spanner.from_regex(pattern).evaluate(text)
+        )
+        assert expected == {json.dumps({"w": [8, 9]})}
+        config = ServerConfig(port=0)
+
+        @serve(config)
+        async def _(server, service):
+            for emit in ("incremental", "on_finish"):
+                client = await StreamClient.open(
+                    server.config.host, server.port, pattern,
+                    alphabet="ERO 0123456789", emit=emit,
+                )
+                assert client.status == 200, client.error_body
+                await client.feed(text[:5])
+                await client.feed(text[5:])
+                events = await client.finish()
+                await client.close()
+                assert not [e for e in events if "error" in e], events
+                assert span_set(events) == expected, (emit, events)
 
 
 class TestSharedCacheEviction:
@@ -304,6 +339,25 @@ class TestMetricsEndpoint:
             assert metrics["data"]["mappings_emitted"] > 0
             assert metrics["requests_total"] >= 2
             assert metrics["latency_seconds"]["recorded"] >= 2
+
+    def test_sessions_declaring_different_alphabets_share_one_plan(self):
+        config = ServerConfig(port=0)
+
+        @serve(config)
+        async def _(server, service):
+            host = server.config.host
+            ratios = []
+            for alphabet, expected_outcome in (("ab", "miss"), ("xyz", "hit"), (None, "hit")):
+                client = await StreamClient.open(
+                    host, server.port, PATTERN, alphabet=alphabet
+                )
+                assert client.ready["plan_cache"] == expected_outcome, alphabet
+                await client.feed("aab")
+                await client.finish()
+                await client.close()
+                ratios.append(service.plan_cache.stats().hit_ratio)
+            assert service.plan_cache.stats().entries == 1
+            assert ratios[0] < ratios[1] < ratios[2]
 
     def test_healthz(self):
         config = ServerConfig(port=0)

@@ -73,7 +73,7 @@ patterns = st.sampled_from(PATTERNS)
 
 def _runtime(pattern: str, text: str):
     spanner = Spanner.from_regex(pattern)
-    return spanner._runtime_for_key(spanner._alphabet_key(text))
+    return spanner.runtime()
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,8 +146,8 @@ def test_runlength_summaries_compose_like_scalar_ones(pattern, text, data):
 @given(pattern=patterns, text=documents)
 def test_subset_count_matches_dense_count(pattern, text):
     spanner = Spanner.from_regex(pattern)
-    subset = spanner._otf_runtime_for_key(spanner._alphabet_key(text))
-    runtime = spanner._runtime_for_key(spanner._alphabet_key(text))
+    subset = spanner.otf_runtime()
+    runtime = spanner.runtime()
     assert count_subset_runlength(subset, text) == count_compiled(
         runtime, text
     )

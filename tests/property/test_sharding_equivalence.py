@@ -55,7 +55,7 @@ patterns = st.sampled_from(PATTERNS)
 
 def _runtime(pattern: str, text: str):
     spanner = Spanner.from_regex(pattern)
-    return spanner._runtime_for_key(spanner._alphabet_key(text))
+    return spanner.runtime()
 
 
 @settings(max_examples=40, deadline=None)
@@ -127,7 +127,7 @@ def test_sparse_logs_scenario_bit_identity():
     bench = scenario("sparse-logs", num_documents=1, scale=800)
     spanner = bench.build_spanner()
     document = next(iter(bench.collection))
-    runtime = spanner._runtime_for_key(spanner._alphabet_key(document))
+    runtime = spanner.runtime()
     serial = evaluate_compiled_arena(runtime, document)
     assert count_compiled(runtime, document) > 0, "scenario must match"
     for shards in adversarial_shard_counts(len(document), seed=3):

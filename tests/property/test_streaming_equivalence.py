@@ -15,12 +15,16 @@ whole-document arena.
 
 from hypothesis import given, settings, strategies as st
 
-from harness import adversarial_documents, assert_all_engines_agree
+from harness import OTHER_SYMBOL, adversarial_documents, assert_all_engines_agree
 
 from repro import Spanner
+from repro.algebra.compile import evaluate_expression_setwise
+from repro.algebra.expressions import Atom
+from repro.automata.builders import VABuilder
 from repro.regex.ast import (
     AnyChar,
     Capture,
+    CharClass,
     Concat,
     Epsilon,
     Literal,
@@ -34,14 +38,16 @@ from repro.runtime.engine import evaluate_compiled_arena
 from repro.workloads.collections import chunked_document, scenario
 
 #: Documents deliberately range beyond the pattern alphabet ``ab``: the
-#: extra characters are foreign to every pattern and exercise wildcard
-#: expansion plus multi-byte chunk splits.
-DOCUMENT_ALPHABET = "abé\x00"
+#: extra characters are unmentioned by every pattern and exercise the OTHER
+#: letter plus multi-byte chunk splits.
+DOCUMENT_ALPHABET = "abé\x00\u0301\U0001f600" + OTHER_SYMBOL
 
 
 def regex_nodes():
     """A strategy generating small regex-formula ASTs."""
-    leaves = st.sampled_from([Epsilon(), AnyChar(), Literal("a"), Literal("b")])
+    leaves = st.sampled_from(
+        [Epsilon(), AnyChar(), Literal("a"), Literal("b"), CharClass("b", negated=True)]
+    )
 
     def extend(children):
         variable = st.sampled_from(["x", "y"])
@@ -76,13 +82,52 @@ def test_adversarial_corpus_all_patterns_all_chunkings():
         "x{.*}",
         ".*x{a}b?y{.?}.*",
         "(a|b)*x{ab}(a|b)*",
+        "[^b]*x{[^a]+}.*",
+        # 'b' occurs only in a negated class: no transition reads it, yet
+        # it must not read as OTHER.
+        "x{[^b]*}",
     ]
     for pattern in patterns:
         spanner = Spanner.from_regex(pattern)
         for index, document in enumerate(adversarial_documents(seed=7)):
-            assert_all_engines_agree(
+            agreed = assert_all_engines_agree(
                 pattern, document, seed=index, spanner=spanner
             )
+            assert agreed == {str(m) for m in evaluate_regex(pattern, document)}, (
+                pattern,
+                document,
+            )
+
+
+def test_corpus_plants_the_other_representative():
+    other = Spanner.from_regex(".*x{a+}.*").compiled().other
+    assert other.symbol == OTHER_SYMBOL
+    assert any(OTHER_SYMBOL in document for document in adversarial_documents(seed=7))
+
+
+def test_join_of_wildcard_atom_with_explicit_va_atom():
+    # (a|b)* x{a} (a|b)* as a hand-built VA: it reads only a and b, so
+    # the join dies on every other character while the wildcard atom
+    # reads it as OTHER.
+    va = (
+        VABuilder()
+        .initial(0)
+        .final(3)
+        .letter(0, "ab", 0)
+        .open(0, "x", 1)
+        .letter(1, "a", 2)
+        .close(2, "x", 3)
+        .letter(3, "ab", 3)
+        .build()
+    )
+    expression = Atom(".*x{a}.*") & Atom(va)
+    spanner = Spanner.from_expression(expression)
+    for index, document in enumerate(adversarial_documents(seed=7) + ["abab", "ba"]):
+        agreed = assert_all_engines_agree(
+            expression, document, seed=index, spanner=spanner
+        )
+        oracle = evaluate_expression_setwise(expression, document)
+        assert agreed == {str(m) for m in oracle}, document
 
 
 def test_tailing_logs_incremental_buffer_strictly_below_full_arena():

@@ -237,7 +237,7 @@ class TestSpannerRunBatch:
         collection = DocumentCollection.from_texts(["hi Ada !", "yo Bob ?"])
         counts = counts_of(spanner.run_batch(collection))
         assert counts == {"doc-0": 1, "doc-1": 1}
-        assert spanner.cached_alphabets() == 1
+        assert spanner.cache_stats().misses == 1
 
     def test_accepts_iterables_and_keeps_names(self):
         spanner = Spanner.from_regex("x{ab}")

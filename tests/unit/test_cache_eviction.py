@@ -2,10 +2,10 @@
 
 The happy paths (hits, sharing across engines) are pinned in
 ``test_encoding.py`` and ``test_spanner_facade.py``; these tests pin the
-*bounds*: the per-document encoding cache under interleaved signatures,
-and the Spanner per-alphabet LRU under interleaved alphabets — eviction
-order, scratch reuse, and the absence of stale entries after a
-classing-signature change.
+*bounds*: the per-document encoding cache under interleaved signatures —
+eviction order and the absence of stale entries after a classing-signature
+change — and the Spanner's single compiled state under interleaved
+alphabets (scratch reuse, no recompilation).
 """
 
 import pickle
@@ -88,51 +88,28 @@ class TestDocumentEncodingCacheBound:
 
 
 class TestSpannerAlphabetLRU:
-    def test_interleaved_alphabets_evict_in_lru_order(self):
-        spanner = Spanner.from_regex(".*x{a}.*", max_cached_alphabets=2)
-        runtime_a = spanner.runtime("ab")
-        runtime_c = spanner.runtime("ac")
-        assert spanner.cached_alphabets() == 2
-        # Touch the first alphabet so the second becomes the LRU victim.
-        assert spanner.runtime("ab") is runtime_a
-        spanner.runtime("ad")
-        assert spanner.cached_alphabets() == 2
-        assert spanner.runtime("ab") is runtime_a  # survived: recently used
-        assert spanner.runtime("ac") is not runtime_c  # evicted: recompiled
-        # ... and evaluation through the recompiled entry is still right.
-        assert {m["x"].content("ac") for m in spanner.evaluate("ac")} == {"a"}
-
-    def test_all_artifacts_evicted_together(self):
-        spanner = Spanner.from_regex(".*x{a}.*", max_cached_alphabets=1)
-        key_ab = spanner._alphabet_key("ab")
-        runtime = spanner.runtime("ab")
-        scratch = spanner._scratch_for_key(key_ab)
-        plan = spanner.plan("ab")
-        spanner.runtime("ac")  # evicts the "ab" entry wholesale
-        assert spanner.runtime("ab") is not runtime
-        assert spanner._scratch_for_key(key_ab) is not scratch
-        assert spanner.plan("ab") is not plan
+    """A spanner compiles once: documents with new alphabets never evict."""
 
     def test_scratch_reused_across_calls_on_one_alphabet(self):
-        spanner = Spanner.from_regex(".*x{a}.*", max_cached_alphabets=2)
-        key = spanner._alphabet_key("ab")
+        spanner = Spanner.from_regex(".*x{a}.*")
         spanner.evaluate("ab")
-        scratch = spanner._scratch_for_key(key)
+        scratch = spanner._scratch()
         spanner.count("ab")
-        spanner.evaluate("ab")
-        assert spanner._scratch_for_key(key) is scratch
+        spanner.evaluate("ac")
+        assert spanner._scratch() is scratch
 
     def test_interleaving_within_capacity_never_recompiles(self):
-        spanner = Spanner.from_regex(".*x{a}.*", max_cached_alphabets=3)
+        spanner = Spanner.from_regex(".*x{a}.*")
         runtimes = {text: spanner.runtime(text) for text in ("ab", "ac", "ad")}
         for _round in range(3):
             for text, runtime in runtimes.items():
                 assert spanner.runtime(text) is runtime
                 assert spanner.count(text) == 1
-        assert spanner.cached_alphabets() == 3
+        assert len({id(runtime) for runtime in runtimes.values()}) == 1
+        assert spanner.cache_stats().misses == 1
 
     def test_no_stale_plan_after_eviction_and_recompilation(self):
-        spanner = Spanner.from_regex(".*x{a}b*.*", max_cached_alphabets=1)
+        spanner = Spanner.from_regex(".*x{a}b*.*")
         before = {str(m) for m in spanner.evaluate("ab")}
         spanner.evaluate("ac")
         after = {str(m) for m in spanner.evaluate("ab")}

@@ -352,6 +352,19 @@ class TestStream:
         assert sorted(streamed.splitlines()) == sorted(extracted.splitlines())
         assert {json.loads(line)["w"] for line in streamed.splitlines()} == {"3", "7"}
 
+    def test_undeclared_characters_match_extract(self, tmp_path):
+        # --alphabet no longer restricts what the wildcards read.
+        path = tmp_path / "app.log"
+        path.write_text("é ERROR worker-3 ✓\n\U0001f600 ERROR worker-4 x\n", encoding="utf-8")
+        pattern = r".*ERROR worker-w{[0-9]} .*"
+        code, streamed = run_cli(
+            ["stream", pattern, str(path), "--alphabet", "ab", "--chunk-size", "4"]
+        )
+        assert code == 0
+        _code, extracted = run_cli(["extract", pattern, str(path)])
+        assert sorted(streamed.splitlines()) == sorted(extracted.splitlines())
+        assert {json.loads(line)["w"] for line in streamed.splitlines()} == {"3", "4"}
+
     def test_on_finish_mode(self, log_path):
         pattern = r".*ERROR worker-w{[0-9]} .*"
         code, output = run_cli(
@@ -420,13 +433,13 @@ class TestOneLineErrors:
         assert "error" in err and "Traceback" not in err
 
     def test_stream_foreign_char_after_delivery_is_one_line(self, tmp_path, capsys):
-        # 'é' is outside the default printable-ASCII stream alphabet; it
-        # arrives after the first match settled, so incremental mode must
-        # refuse — as a clean CLI error, not a traceback.
+        # The wildcard-free pattern does not mention 'c'; it arrives after
+        # the first match settled, so incremental mode must refuse — as a
+        # clean CLI error, not a traceback.
         path = tmp_path / "doc.txt"
-        path.write_text("ERROR worker-1 x\né\n", encoding="utf-8")
+        path.write_text("a" + "b" * 20 + "c", encoding="utf-8")
         code, _output = run_cli(
-            ["stream", r".*ERROR worker-w{[0-9]} .*", str(path), "--chunk-size", "17"]
+            ["stream", "x{a}[ab]*", str(path), "--chunk-size", "17"]
         )
         self.assert_one_line_error(capsys, code, "stream")
 
@@ -439,8 +452,8 @@ class TestExplain:
         assert "execution plan: engine=" in output
 
     def test_join_of_patterns_renders_hybrid_plan(self, document_path):
-        # Two wide joined atoms exceed the fuse threshold over the
-        # document's alphabet, so the plan shows runtime operators.
+        # Two wide joined atoms exceed the fuse threshold, so the plan
+        # shows runtime operators.
         code, output = run_cli(
             [
                 "explain",
@@ -458,6 +471,14 @@ class TestExplain:
         assert "⋈" in output
         assert "hash-join" in output
         assert "engine=hybrid" in output
+
+    def test_plan_is_the_same_with_or_without_a_document(self, document_path):
+        pattern = r".*ERROR w{[0-9]} .*"
+        code, without = run_cli(["explain", pattern])
+        assert code == 0
+        code, with_document = run_cli(["explain", pattern, "--document", document_path])
+        assert code == 0
+        assert with_document == without
 
     def test_union_combiner(self):
         code, output = run_cli(["explain", "x{a}", "x{b}", "--combine", "union"])

@@ -38,9 +38,9 @@ def compiled_for(pattern: str, alphabet: str):
 
 class TestSymbolClasses:
     def test_identical_columns_collapse(self):
-        # In ".*x{a+b}.*" over a 12-symbol alphabet, every symbol except the
-        # two the automaton distinguishes behaves identically.
-        compiled = compiled_for(".*x{a+b}.*", "abcdefghijkl")
+        # In "[a-l]*x{a+b}[a-l]*" over its 12 literals, every symbol except
+        # the two the automaton distinguishes behaves identically.
+        compiled = compiled_for("[a-l]*x{a+b}[a-l]*", "abcdefghijkl")
         assert compiled.num_symbols == 12
         assert compiled.num_classes < compiled.num_symbols
 
@@ -75,7 +75,10 @@ class TestSymbolClasses:
         assert isinstance(subset_eva, CompiledSubsetEVA)
         assert subset_eva.num_classes <= len(subset_eva.symbols)
         encoded = subset_eva.encode("abcd✗")
-        assert encoded.buffer[-1] == subset_eva.classing.foreign_class
+        # 'c', 'd' and '✗' are all unmentioned: each reads as OTHER.
+        other_class = subset_eva.classing.other_class
+        assert other_class != subset_eva.classing.foreign_class
+        assert encoded.buffer[2:] == bytes([other_class]) * 3
 
 
 class TestEncoding:
@@ -98,6 +101,36 @@ class TestEncoding:
         classing = SymbolClassing(("a", "✗"), (0, 1))
         encoded = classing.encode_fresh("a✗a☃")
         assert list(encoded.buffer) == [0, 1, 0, classing.foreign_class]
+
+    def test_unmentioned_characters_read_as_other(self):
+        other = "\ufdd0"
+        classing = SymbolClassing(("a", "b", other), (0, 1, 2), other)
+        assert classing.other_class == 2 != classing.foreign_class
+        encoded = classing.encode_fresh("a✗\x00\x01zb" + other + "\U0001f600")
+        assert list(encoded.buffer) == [0, 2, 2, 2, 2, 1, 2, 2]
+        assert classing != SymbolClassing(("a", "b", other), (0, 1, 2))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        text=st.text(alphabet="ab?zé\x00\x03\u0301\u20ac\U0001f600\ufdd0", max_size=24),
+        case=st.sampled_from(
+            [
+                (("a", "b"), (0, 1), None),
+                (("a", "b", "\ufdd0"), (0, 1, 1), "\ufdd0"),
+                (("?", "a", "\ufdd0"), (0, 1, 2), "\ufdd0"),
+                (("a", "\u0301", "\ufdd0"), (0, 1, 1), "\ufdd0"),
+                (("\u20ac",), (0,), None),
+            ]
+        ),
+    )
+    def test_every_path_matches_per_character_reading(self, text, case):
+        symbols, class_of, other = case
+        classing = SymbolClassing(symbols, class_of, other)
+        expected = [
+            class_of[symbols.index(char)] if char in symbols else classing.other_class
+            for char in text
+        ]
+        assert list(classing.encode_fresh(text).buffer) == expected
 
     def test_wide_classing_uses_int_array(self):
         symbols = tuple(chr(0x100 + i) for i in range(300))

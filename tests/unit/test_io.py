@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import Spanner
 from repro.core.mappings import Mapping
 from repro.core.spans import Span
 from repro.automata.transforms import to_deterministic_sequential_eva
@@ -55,6 +56,15 @@ class TestEvaSerialization:
         rebuilt = eva_from_dict(eva_to_dict(compiled))
         assert rebuilt.is_deterministic()
         assert rebuilt.evaluate("aa") == compiled.evaluate("aa")
+
+    def test_round_trip_keeps_the_other_letter(self):
+        compiled = Spanner.from_regex(".*x{a}[^,]*").compiled()
+        payload = json.loads(json.dumps(eva_to_dict(compiled)))
+        rebuilt = eva_from_dict(payload)
+        assert rebuilt.other == compiled.other
+        for document in ["zaz", "za,", "\U0001f600a"]:
+            assert rebuilt.evaluate(document) == compiled.evaluate(document)
+        assert Spanner(rebuilt).extract("zaz") == [{"x": "a"}]
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(SerializationError):

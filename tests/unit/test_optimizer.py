@@ -165,9 +165,9 @@ class TestPlanIntegration:
     def test_optimized_plan_cached_per_alphabet(self):
         spanner = Spanner.from_expression(join_heavy_expression((3, 5)))
         spanner.evaluate("ab")
-        first = spanner._optimized_for_key(frozenset("ab"))
-        spanner.evaluate("ba")
-        assert spanner._optimized_for_key(frozenset("ab")) is first
+        first = spanner._optimized()
+        spanner.evaluate("bc")
+        assert spanner._optimized() is first
 
     def test_run_batch_hybrid_across_processes(self):
         expression = join_heavy_expression((3, 5))

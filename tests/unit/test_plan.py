@@ -247,33 +247,23 @@ class TestSpannerPlanIntegration:
 
 
 class TestBoundedCache:
+    """The spanner keeps one compiled state, whatever the documents."""
+
     def test_cache_is_bounded_and_recycles_lru(self):
-        spanner = Spanner.from_regex(".*x{a}.*", max_cached_alphabets=2)
+        spanner = Spanner.from_regex(".*x{a}.*")
         spanner.count("ab")
         spanner.count("ac")
         spanner.count("ad")
-        assert spanner.cached_alphabets() == 2
-
-    def test_eviction_drops_runtime_and_eva_together(self):
-        spanner = Spanner.from_regex(".*x{a}.*", max_cached_alphabets=1)
-        first_runtime = spanner.runtime("ab")
-        first_automaton = spanner.compiled("ab")
-        spanner.count("az")  # evicts the "ab" entry wholesale
-        assert spanner.cached_alphabets() == 1
-        assert spanner.runtime("ab") is not first_runtime
-        assert spanner.compiled("ab") is not first_automaton
+        stats = spanner.cache_stats()
+        assert (stats.entries, stats.max_entries, stats.misses) == (1, 1, 1)
 
     def test_recently_used_entry_survives(self):
-        spanner = Spanner.from_regex(".*x{a}.*", max_cached_alphabets=2)
+        spanner = Spanner.from_regex(".*x{a}.*")
         kept = spanner.runtime("ab")
         spanner.count("ac")
-        spanner.count("ab")  # refresh "ab" so "ac" is the LRU entry
-        spanner.count("ad")  # evicts "ac"
+        spanner.count("ab")
+        spanner.count("ad")
         assert spanner.runtime("ab") is kept
-
-    def test_knob_validation(self):
-        with pytest.raises(ValueError):
-            Spanner("x{a}", max_cached_alphabets=0)
 
     def test_cache_reused_for_same_alphabet(self):
         spanner = Spanner.from_regex(".*x{a}.*")

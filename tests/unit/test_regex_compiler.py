@@ -5,7 +5,7 @@ import pytest
 from repro.core.errors import CompilationError
 from repro.core.mappings import Mapping
 from repro.core.spans import Span
-from repro.regex.compiler import compile_to_va, required_alphabet
+from repro.regex.compiler import compile_to_va
 from repro.regex.semantics import evaluate_regex
 
 
@@ -85,9 +85,6 @@ class TestCompilerProperties:
     def test_invalid_alphabet_member(self):
         with pytest.raises(CompilationError):
             compile_to_va("a", alphabet=["ab"])
-
-    def test_required_alphabet_helper(self):
-        assert required_alphabet("a[bc]", "xyz") == frozenset("abcxyz")
 
     def test_capture_produces_variable(self):
         automaton = compile_to_va("name{a}")

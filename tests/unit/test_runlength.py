@@ -227,9 +227,7 @@ class TestCounting:
     def test_subset_count_matches_dense(self):
         spanner = Spanner(PATTERN)
         try:
-            subset = spanner._otf_runtime_for_key(
-                spanner._alphabet_key(DOCUMENT)
-            )
+            subset = spanner.otf_runtime()
             assert count_subset_runlength(subset, DOCUMENT) == count_compiled(
                 spanner.runtime(DOCUMENT), DOCUMENT
             )
@@ -373,9 +371,7 @@ class TestDispatch:
     def test_subset_dispatcher_agrees(self):
         spanner = Spanner(PATTERN)
         try:
-            subset = spanner._otf_runtime_for_key(
-                spanner._alphabet_key(DOCUMENT)
-            )
+            subset = spanner.otf_runtime()
             expected = count_compiled(spanner.runtime(DOCUMENT), DOCUMENT)
             for kernel in KERNELS:
                 assert (

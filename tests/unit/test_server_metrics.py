@@ -148,14 +148,13 @@ class TestParseOpen:
         request = parse_open(
             '{"pattern": "x{a+}", "alphabet": "ab", "emit": "on_finish"}'
         )
-        assert request.cache_key("zz") == ("x{a+}", "ab")
+        assert request.cache_key() == "x{a+}"
         assert request.emit == "on_finish"
 
     def test_cache_key_resolves_omitted_alphabet_to_default(self):
         explicit = parse_open('{"pattern": "x{a+}", "alphabet": "ab"}')
         omitted = parse_open('{"pattern": "x{a+}"}')
-        assert omitted.cache_key("ab") == explicit.cache_key("ab")
-        assert omitted.cache_key("abc") == ("x{a+}", "abc")
+        assert omitted.cache_key() == explicit.cache_key() == "x{a+}"
 
     def test_bytes_input(self):
         request = parse_open(b'{"pattern": "x{a+}"}')

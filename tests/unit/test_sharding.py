@@ -42,7 +42,7 @@ LOG_TEXT = (
 
 def _runtime(pattern: str, text: str):
     spanner = Spanner.from_regex(pattern)
-    return spanner._runtime_for_key(spanner._alphabet_key(text))
+    return spanner.runtime()
 
 
 # ---------------------------------------------------------------------- #
@@ -270,8 +270,7 @@ def test_facade_small_document_stays_serial_without_a_pool():
     spanner = Spanner.from_regex("x{a}b")  # default threshold: 32768 chars
     result = spanner.extract("aab", workers=4)
     assert result == spanner.extract("aab")
-    state = spanner._state_for_key(spanner._alphabet_key("aab"))
-    assert state.shard_pool is None  # never paid the fork cost
+    assert spanner._state.shard_pool is None  # never paid the fork cost
 
 
 def test_facade_workers_route_through_the_pool():
@@ -281,12 +280,11 @@ def test_facade_workers_route_through_the_pool():
         assert serial, "fixture must produce matches"
         assert spanner.extract(LOG_TEXT, workers=2) == serial
         assert spanner.count(LOG_TEXT, workers=2) == len(serial)
-        key = spanner._alphabet_key(LOG_TEXT)
-        pool = spanner._state_for_key(key).shard_pool
+        pool = spanner._state.shard_pool
         assert pool is not None and pool.workers == 2
         # Same worker count: the pool is reused, not rebuilt.
         spanner.count(LOG_TEXT, workers=2)
-        assert spanner._state_for_key(key).shard_pool is pool
+        assert spanner._state.shard_pool is pool
     finally:
         spanner.close()
     assert pool.closed

@@ -7,6 +7,7 @@ from repro.core.errors import CompilationError
 from repro.algebra.expressions import Atom
 from repro.automata.transforms import to_deterministic_sequential_eva
 from repro.regex.parser import parse_regex
+from repro.runtime import encoding
 from repro.spanners.pipeline import CompilationPipeline
 from repro.workloads.spanners import figure2_va, figure3_eva
 
@@ -106,10 +107,13 @@ class TestCompilationAndCaching:
         assert first is second
 
     def test_cache_extends_for_new_alphabet(self):
+        # The one compilation reads 'z' as OTHER: no recompilation.
         spanner = Spanner.from_regex(".*x{a}.*")
         first = spanner.compiled("aa")
         second = spanner.compiled("az")
-        assert first is not second
+        assert first is second
+        assert spanner.extract("az") == [{"x": "a"}]
+        assert spanner.cache_stats().misses == 1
 
     def test_alphabet_independent_source_compiled_once(self):
         spanner = Spanner.from_regex("x{a}b")
@@ -126,6 +130,45 @@ class TestCompilationAndCaching:
         assert report.total_seconds >= 0
         assert report.final_stage.num_states > 0
         assert "stage" in report.summary()
+
+
+class TestCompileOnce:
+    """One spanner compiles once, whatever documents it reads."""
+
+    def test_forty_alphabets_one_compile_one_encoding_pass_each(self):
+        spanner = Spanner.from_regex(".*ERROR w{[0-9]} .*")
+        documents = [
+            f"{chr(0x100 + index)} ERROR {index % 10} " + chr(0x4E00 + index)
+            for index in range(40)
+        ]
+        assert len({frozenset(text) for text in documents}) == 40
+        for index, text in enumerate(documents):
+            passes = encoding.encoding_passes()
+            assert spanner.extract(text) == [{"w": str(index % 10)}]
+            assert encoding.encoding_passes() == passes + 1
+        assert spanner.cache_stats().misses == 1
+
+    def test_explain_without_a_document_describes_the_running_automaton(self):
+        spanner = Spanner.from_regex(".*ERROR w{[0-9]} .*")
+        document = "q ERROR 4 z"
+        spanner.extract(document)
+        assert spanner.explain() == spanner.explain(document)
+        assert spanner.statistics() == spanner.statistics(document)
+        assert spanner.compiled() is spanner.compiled(document)
+        assert spanner.cache_stats().misses == 1
+
+    def test_other_symbol_avoids_the_pattern_literals(self):
+        spanner = Spanner.from_regex("x{\ufdd0}.*")
+        assert spanner.compiled().other.symbol == "\ufdd1"
+        for engine in ("reference", "compiled", "compiled-otf"):
+            assert spanner.extract("\ufdd0a\ufdd1", engine=engine) == [{"x": "\ufdd0"}]
+            assert spanner.extract("\ufdd1", engine=engine) == []
+
+    def test_wildcards_match_any_character(self):
+        spanner = Spanner.from_regex("x{.}[^a]")
+        for engine in ("reference", "compiled", "compiled-otf"):
+            assert spanner.extract("\U0001f600b", engine=engine) == [{"x": "\U0001f600"}]
+            assert spanner.extract("ba", engine=engine) == []
 
 
 class TestPipeline:

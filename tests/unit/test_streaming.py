@@ -179,23 +179,36 @@ class TestIncrementalEmission:
         assert evaluator.peak_arena_cells < len(whole.cell_nodes)
 
     def test_foreign_char_before_delivery_kills_like_the_engines(self):
-        spanner = Spanner.from_regex(".*x{a+}.*")
-        runtime = spanner.runtime("ab")  # 'Z' is foreign to this automaton
+        # A wildcard-free pattern does not read 'Z': every run dies.
+        runtime = Spanner.from_regex("[ab]*x{a+}[ab]*").runtime()
         evaluator = StreamingEvaluator(runtime, emit="incremental")
         delivered = evaluator.feed("Zaa")
         assert delivered == []
         result = evaluator.finish()
         assert result.is_empty()
         assert {str(m) for m in evaluate_compiled_arena(runtime, "Zaa")} == set()
+        # A wildcard reads 'Z' as OTHER: the stream equals extract.
+        spanner = Spanner.from_regex(".*x{a+}.*")
+        evaluator = StreamingEvaluator(spanner.runtime(), emit="incremental")
+        evaluator.feed("Zaa")
+        streamed = sorted(map(str, evaluator.finish()))
+        assert streamed == sorted(map(str, spanner.evaluate("Zaa")))
+        assert len(streamed) == 3
 
     def test_foreign_char_after_delivery_raises(self):
-        spanner = Spanner.from_regex(".*x{a+} .*")
-        runtime = spanner.runtime("a b")
+        runtime = Spanner.from_regex("[ab ]*x{a+} [ab ]*").runtime()
         evaluator = StreamingEvaluator(runtime, emit="incremental")
         delivered = evaluator.feed("aa b")
-        assert delivered, "the match should settle in the trailing wildcard"
+        assert delivered, "the match should settle in the trailing class"
         with pytest.raises(StreamingError):
             evaluator.feed("Z")
+        # With a trailing wildcard 'Z' is OTHER: nothing to retract.
+        spanner = Spanner.from_regex(".*x{a+} .*")
+        evaluator = StreamingEvaluator(spanner.runtime(), emit="incremental")
+        assert evaluator.feed("aa b"), "the match should settle in the wildcard"
+        assert evaluator.feed("Z") == []
+        streamed = sorted(map(str, evaluator.finish()))
+        assert streamed == sorted(map(str, spanner.evaluate("aa bZ")))
 
     def test_retain_settled_false_delivers_without_replaying(self):
         runtime, document = tail_runtime(scale=300)
@@ -214,13 +227,23 @@ class TestIncrementalEmission:
         assert result.count() == len(expected)
         assert not result.is_empty()
         assert evaluator.settled_count() == len(delivered)
-        # The retraction guard still counts deliveries.
+        # '\x01' reads as OTHER, so the stream goes on exactly.
         evaluator2 = StreamingEvaluator(
             runtime, emit="incremental", retain_settled=False
         )
         assert evaluator2.feed("r ERROR worker-1 r\n")
+        assert evaluator2.feed("\x01") == []
+        assert evaluator2.finish().count() == 1
+        # The retraction guard of a wildcard-free pattern still counts
+        # deliveries made with retain_settled=False.
+        guarded = StreamingEvaluator(
+            Spanner.from_regex("[ab]*x{a}[ab]*").runtime(),
+            emit="incremental",
+            retain_settled=False,
+        )
+        assert guarded.feed("ab")
         with pytest.raises(StreamingError):
-            evaluator2.feed("\x01")
+            guarded.feed("\x01")
 
     def test_empty_mapping_settles_immediately_for_plain_star(self):
         spanner = Spanner.from_regex("a*")
@@ -230,6 +253,36 @@ class TestIncrementalEmission:
         assert [dict(m.items()) for m in delivered] == [{}]
         result = evaluator.finish()
         assert result.count() == 1
+
+
+class TestUnmentionedCharacters:
+    """Wildcards read characters the stream never declared (regression).
+
+    Streams used to compile wildcards over the declared alphabet, so an
+    undeclared character silently killed every run: the stream below
+    finished with ``[]`` while ``extract`` found ``{'w': '4'}``.
+    """
+
+    PATTERN = ".*ERROR w{[0-9]} .*"
+    TEXT = "q ERROR 4 z"
+
+    @pytest.mark.parametrize("emit", ["on_finish", "incremental"])
+    @pytest.mark.parametrize("chunks", [[TEXT], list(TEXT), [TEXT[:5], TEXT[5:]]])
+    def test_stream_equals_extract(self, emit, chunks):
+        spanner = Spanner.from_regex(self.PATTERN)
+        evaluator = spanner.stream(alphabet="ERO 0123456789", emit=emit)
+        for chunk in chunks:
+            evaluator.feed(chunk)
+        streamed = [m.contents(self.TEXT) for m in evaluator.finish()]
+        assert streamed == spanner.extract(self.TEXT) == [{"w": "4"}]
+
+    def test_incremental_delivers_before_the_end(self):
+        spanner = Spanner.from_regex(self.PATTERN)
+        evaluator = spanner.stream(emit="incremental")
+        delivered = evaluator.feed(self.TEXT)
+        assert [m.contents(self.TEXT) for m in delivered] == [{"w": "4"}]
+        assert evaluator.feed("\U0001f600\x00") == []
+        assert evaluator.finish().count() == 1
 
 
 class TestPlanLayer:
